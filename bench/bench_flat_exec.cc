@@ -8,9 +8,8 @@
 // symmetric hand-rolled kernels over the interned flat layout
 // ("flat_layout" — isolates the representation change) and the full
 // physical operator stack at 1, 2, and hardware threads, plus the
-// single-threaded "tuple" (batch_size=1) vs "batch" (batch_size=1024)
-// pair that isolates the vectorized scalar-program kernels. Rows/sec per
-// variant goes to BENCH_perf.json.
+// single-threaded "batch" variant the CI gate holds against the legacy
+// layout. Rows/sec per variant goes to BENCH_perf.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -325,15 +324,12 @@ Plans MakePlans(AstContext& ctx, AlgebraFactory& factory) {
   return p;
 }
 
-// Best-of-reps wall time of one flat execution at `threads` workers and
-// `batch_size` rows per batch (1 = tuple-at-a-time, 0 = default batched).
+// Best-of-reps wall time of one flat execution at `threads` workers.
 uint64_t FlatWallNs(const AstContext& ctx, const AlgExpr* plan,
                     const Database& db, const FunctionRegistry& registry,
-                    size_t threads, size_t batch_size, size_t* out_rows,
-                    int reps = 3) {
+                    size_t threads, size_t* out_rows, int reps = 3) {
   ExecOptions options;
   options.num_threads = threads;
-  if (batch_size > 0) options.batch_size = batch_size;
   auto physical = Lower(ctx, plan, registry, options);
   if (!physical.ok()) return 0;
   uint64_t best = UINT64_MAX;
@@ -469,24 +465,17 @@ void ReportProfile(const DataProfile& profile) {
     struct Variant {
       const char* name;
       size_t threads;
-      size_t batch_size;  // 0 = ExecOptions default (batched)
     };
-    // flat_t1/t2/hw run the default batched kernels; "tuple" and "batch"
-    // pin batch_size at one thread so their ratio isolates the vectorized
-    // kernels from the layout and parallelism wins.
-    const Variant variants[] = {{"flat_t1", 1, 0},
-                                {"flat_t2", 2, 0},
-                                {"flat_hw", hw, 0},
-                                {"tuple", 1, 1},
-                                {"batch", 1, 1024}};
+    // Every variant runs the default configuration; "batch" is the
+    // single-threaded series the CI gate holds.
+    const Variant variants[] = {
+        {"flat_t1", 1}, {"flat_t2", 2}, {"flat_hw", hw}, {"batch", 1}};
     uint64_t t1_ns = 0;
-    uint64_t tuple_ns = 0;
     for (const Variant& v : variants) {
       size_t out_rows = 0;
-      uint64_t ns = FlatWallNs(ctx, s.plan, db, registry, v.threads,
-                               v.batch_size, &out_rows);
-      if (v.threads == 1 && v.batch_size == 0) t1_ns = ns;
-      if (v.batch_size == 1) tuple_ns = ns;
+      uint64_t ns =
+          FlatWallNs(ctx, s.plan, db, registry, v.threads, &out_rows);
+      if (t1_ns == 0 && v.threads == 1) t1_ns = ns;
       EmitRecord(profile.name, s.op, v.name, v.threads, op_rows_in, out_rows, ns);
       double speedup = ns > 0 ? static_cast<double>(s.old_ns) /
                                     static_cast<double>(ns)
@@ -503,10 +492,6 @@ void ReportProfile(const DataProfile& profile) {
       if (v.threads == 2 && t1_ns > 0 && ns > 0) {
         std::printf("%-14s %-14s %33.2fx vs flat_t1\n", "", "",
                     static_cast<double>(t1_ns) / static_cast<double>(ns));
-      }
-      if (v.batch_size == 1024 && tuple_ns > 0 && ns > 0) {
-        std::printf("%-14s %-14s %33.2fx vs tuple\n", "", "",
-                    static_cast<double>(tuple_ns) / static_cast<double>(ns));
       }
     }
     std::printf("\n");

@@ -10,7 +10,7 @@ A series regresses when current_speedup / baseline_speedup falls below the
 threshold (0.7 = a >30% slowdown relative to the in-run legacy baseline).
 
 Only the single-threaded variants are gated (flat_layout, flat_t1, and
-the tuple/batch kernel pair) — multi-thread numbers on shared CI runners
+batch) — multi-thread numbers on shared CI runners
 are too noisy to gate on, and flat_hw depends on the core count. When a
 file holds duplicate records for a series (appended re-runs), the latest
 record per (bench, data, op, variant, threads) wins. The full delta
@@ -41,7 +41,7 @@ import argparse
 import json
 import sys
 
-GATED_VARIANTS = ("flat_layout", "flat_t1", "tuple", "batch")
+GATED_VARIANTS = ("flat_layout", "flat_t1", "batch")
 BASELINE_VARIANT = "legacy_layout"
 
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <optional>
 
 #include "src/base/string_pool.h"
 #include "src/base/thread_pool.h"
@@ -124,15 +126,16 @@ void LogCompile(const std::string& text, const Status& status,
   log->Write(r);
 }
 
-void LogRunRecord(const std::string& text, bool ok, const std::string& error,
-                  uint64_t rows_out, uint64_t wall_ns, uint64_t exec_threads,
+void LogRunRecord(const std::string& text, uint64_t hash, bool ok,
+                  const std::string& error, uint64_t rows_out,
+                  uint64_t wall_ns, uint64_t exec_threads,
                   const ExecProfile* profile, std::string aborted_limit) {
   obs::QueryLog* log = obs::GetQueryLog();
   if (log == nullptr) return;
   obs::QueryLogRecord r;
   r.event = "run";
   r.query = text;
-  r.query_hash = obs::HashQueryText(text);
+  r.query_hash = hash;
   r.ok = ok;
   r.error = error;
   r.rows_out = rows_out;
@@ -164,8 +167,7 @@ void LogRunRecord(const std::string& text, bool ok, const std::string& error,
 // where each query started and ended.
 class QueryObsScope {
  public:
-  explicit QueryObsScope(const std::string& text)
-      : hash_(obs::HashQueryText(text)) {
+  QueryObsScope(const std::string& text, uint64_t hash) : hash_(hash) {
     obs::SetCurrentQuery(text, hash_);
     obs::FlightRecord(obs::FlightEventKind::kQueryStart, "query", hash_);
   }
@@ -183,10 +185,9 @@ class QueryObsScope {
 // Updates run metrics + query log for one execution attempt. `profile`
 // (optional) contributes memory accounting, the aborting resource limit,
 // and the worst plan misestimate to the "run" record.
-template <typename ResultT>
-void ObserveRun(const std::string& text, const StatusOr<ResultT>& result,
-                uint64_t start_ns, uint64_t exec_threads,
-                const ExecProfile* profile = nullptr) {
+void ObserveRun(const std::string& text, uint64_t hash,
+                const StatusOr<Relation>& result, uint64_t start_ns,
+                uint64_t exec_threads, const ExecProfile* profile) {
   uint64_t wall = obs::NowNs() - start_ns;
   RunMetrics& m = RunMetrics::Get();
   m.runs.Add();
@@ -201,8 +202,7 @@ void ObserveRun(const std::string& text, const StatusOr<ResultT>& result,
   }
   if (obs::HistoryStore* store = obs::GetHistoryStore();
       store != nullptr && profile != nullptr) {
-    obs::RunObservation run =
-        CollectRunObservation(obs::HashQueryText(text), text, *profile);
+    obs::RunObservation run = CollectRunObservation(hash, text, *profile);
     run.ok = result.ok();
     run.aborted_limit = aborted_limit;
     run.wall_ns = wall;
@@ -218,8 +218,8 @@ void ObserveRun(const std::string& text, const StatusOr<ResultT>& result,
   }
   if (result.ok()) {
     m.rows_out.Add(result->size());
-    LogRunRecord(text, true, "", result->size(), wall, exec_threads, profile,
-                 "");
+    LogRunRecord(text, hash, true, "", result->size(), wall, exec_threads,
+                 profile, "");
   } else {
     m.errors.Add();
     if (obs::PostmortemEnabled()) {
@@ -227,15 +227,99 @@ void ObserveRun(const std::string& text, const StatusOr<ResultT>& result,
       obs::PostmortemInfo info;
       info.reason = aborted_limit.empty() ? "run_error" : "governor_abort";
       info.query = text;
-      info.query_hash = obs::HashQueryText(text);
+      info.query_hash = hash;
       info.error = result.status().ToString();
       info.aborted_limit = aborted_limit;
       if (profile != nullptr) info.profile_json = ExecProfileToJson(*profile);
       (void)obs::WritePostmortem(info);
     }
-    LogRunRecord(text, false, result.status().ToString(), 0, wall,
+    LogRunRecord(text, hash, false, result.status().ToString(), 0, wall,
                  exec_threads, profile, std::move(aborted_limit));
   }
+}
+
+// The one observed-run path behind every Run, RunWithProfile and
+// ExplainAnalyze entry point. Executes `cached`, or when it is null lowers
+// the plan `plan_for` returns (reported through `ran_plan` when given),
+// under one trace span and QueryObsScope. Profiles whenever a consumer
+// exists: the caller's stats or profile, a query log, a history store, or
+// a postmortem bundle that would want the partial profile. Folds the
+// totals into `stats` and reports the attempt to every sink through
+// ObserveRun. `text` is the query's source text, hashed once here.
+StatusOr<Relation> RunObserved(
+    const Compiler& owner, const std::string& text,
+    const PhysicalPlan* cached,
+    const std::function<StatusOr<const AlgExpr*>()>& plan_for,
+    const Database& db, AlgebraEvalStats* stats, ExecProfile* profile,
+    const AlgExpr** ran_plan = nullptr) {
+  obs::Span span("exec.run");
+  const uint64_t hash = obs::HashQueryText(text);
+  QueryObsScope obs_scope(text, hash);
+  const uint64_t start_ns = obs::NowNs();
+  ExecProfile local;
+  if (profile == nullptr &&
+      (stats != nullptr || obs::GetQueryLog() != nullptr ||
+       obs::GetHistoryStore() != nullptr || obs::PostmortemEnabled())) {
+    profile = &local;
+  }
+  size_t num_threads = 0;
+  bool executed = false;  // a plan ran, so `profile` describes it
+  auto answer = [&]() -> StatusOr<Relation> {
+    std::optional<PhysicalPlan> lowered;
+    const PhysicalPlan* physical = cached;
+    if (physical == nullptr) {
+      auto plan = plan_for();
+      if (!plan.ok()) return plan.status();
+      if (ran_plan != nullptr) *ran_plan = *plan;
+      // History is keyed on the query text: a parameterized query's runs
+      // with different arguments pool into one hash, so corrections are
+      // the mean actual over the argument mix seen so far.
+      ExecOptions exec_options;
+      exec_options.query_hash = hash;
+      auto physical_or =
+          Lower(owner.ctx(), *plan, owner.functions(), exec_options);
+      if (!physical_or.ok()) return physical_or.status();
+      physical = &lowered.emplace(std::move(physical_or).value());
+    }
+    num_threads = physical->options().num_threads;
+    executed = true;
+    auto result = physical->ExecuteToRelation(db, profile);
+    if (result.ok() && stats != nullptr) {
+      ExecTotals totals = SumProfile(*profile);
+      stats->tuples_scanned += totals.rows_in;
+      stats->tuples_produced += totals.rows_out;
+      stats->function_calls += totals.function_calls;
+      stats->tuple_copies += totals.tuple_copies;
+    }
+    return result;
+  }();
+  ObserveRun(text, hash, answer, start_ns, EffectiveExecThreads(num_threads),
+             executed ? profile : nullptr);
+  return answer;
+}
+
+// EXPLAIN ANALYZE report of one run, shared by both query kinds.
+std::string RenderExplainAnalyze(const std::string& plan,
+                                 const Relation& answer,
+                                 const ExecProfile& profile) {
+  std::string out = "plan: " + plan + "\n";
+  out += "answer rows: " + std::to_string(answer.size()) + "\n";
+  out += ExecProfileToString(profile);
+  out += "memory: peak " + std::to_string(profile.total_peak_bytes) +
+         " bytes, allocated " +
+         std::to_string(profile.total_bytes_allocated) + " bytes\n";
+  ParallelSummary par = SumParallel(profile);
+  if (par.max_workers > 1) {
+    char line[128];
+    std::snprintf(line, sizeof(line),
+                  "parallelism: eff=%.0f%% workers=%u morsels=%llu\n",
+                  par.Efficiency() * 100.0, par.max_workers,
+                  static_cast<unsigned long long>(par.morsels));
+    out += line;
+  }
+  out += "feedback (est vs actual, worst first):\n";
+  out += BuildPlanFeedback(profile).ToString();
+  return out;
 }
 
 }  // namespace
@@ -258,90 +342,25 @@ std::string CompiledQuery::ExplainCompile() const {
 
 StatusOr<Relation> CompiledQuery::Run(const Database& db,
                                       AlgebraEvalStats* stats) const {
-  obs::Span span("exec.run");
-  QueryObsScope obs_scope(text_);
-  uint64_t start_ns = obs::NowNs();
-  ExecProfile profile;
-  bool profiled = false;
-  auto execute = [&]() -> StatusOr<Relation> {
-    if (physical_ == nullptr) {
-      // Lowering failed at compile time; EvaluateAlgebra re-lowers and
-      // surfaces the error.
-      return EvaluateAlgebra(owner_->ctx(), translation_.plan, db,
-                             owner_->functions(), stats);
-    }
-    // Profile whenever a consumer exists: the caller's stats, an installed
-    // query log (memory + misestimate fields per run record), a history
-    // store that records actuals, or an abort bundle that would want the
-    // partial profile.
-    profiled = stats != nullptr || obs::GetQueryLog() != nullptr ||
-               obs::GetHistoryStore() != nullptr || obs::PostmortemEnabled();
-    auto result =
-        physical_->ExecuteToRelation(db, profiled ? &profile : nullptr);
-    if (result.ok() && stats != nullptr) {
-      ExecTotals totals = SumProfile(profile);
-      stats->tuples_scanned += totals.rows_in;
-      stats->tuples_produced += totals.rows_out;
-      stats->function_calls += totals.function_calls;
-      stats->tuple_copies += totals.tuple_copies;
-    }
-    return result;
-  };
-  auto answer = execute();
-  ObserveRun(text_, answer, start_ns,
-             EffectiveExecThreads(
-                 physical_ != nullptr ? physical_->options().num_threads : 0),
-             profiled ? &profile : nullptr);
-  return answer;
+  return RunObserved(
+      *owner_, text_, physical_.get(),
+      [&]() -> StatusOr<const AlgExpr*> { return translation_.plan; }, db,
+      stats, nullptr);
 }
 
 StatusOr<Relation> CompiledQuery::RunWithProfile(const Database& db,
                                                  ExecProfile* profile) const {
-  obs::Span span("exec.run");
-  QueryObsScope obs_scope(text_);
-  uint64_t start_ns = obs::NowNs();
-  auto execute = [&]() -> StatusOr<Relation> {
-    if (physical_ != nullptr) {
-      return physical_->ExecuteToRelation(db, profile);
-    }
-    // Lowering failed at compile time; redo it here to surface the error.
-    ExecOptions exec_options;
-    exec_options.query_hash = obs::HashQueryText(text_);
-    auto physical = Lower(owner_->ctx(), translation_.plan,
-                          owner_->functions(), exec_options);
-    if (!physical.ok()) return physical.status();
-    return physical->ExecuteToRelation(db, profile);
-  };
-  auto answer = execute();
-  ObserveRun(text_, answer, start_ns,
-             EffectiveExecThreads(
-                 physical_ != nullptr ? physical_->options().num_threads : 0),
-             profile);
-  return answer;
+  return RunObserved(
+      *owner_, text_, physical_.get(),
+      [&]() -> StatusOr<const AlgExpr*> { return translation_.plan; }, db,
+      nullptr, profile);
 }
 
 StatusOr<std::string> CompiledQuery::ExplainAnalyze(const Database& db) const {
   ExecProfile profile;
   auto answer = RunWithProfile(db, &profile);
   if (!answer.ok()) return answer.status();
-  std::string out = "plan: " + PlanString() + "\n";
-  out += "answer rows: " + std::to_string(answer->size()) + "\n";
-  out += ExecProfileToString(profile);
-  out += "memory: peak " + std::to_string(profile.total_peak_bytes) +
-         " bytes, allocated " +
-         std::to_string(profile.total_bytes_allocated) + " bytes\n";
-  ParallelSummary par = SumParallel(profile);
-  if (par.max_workers > 1) {
-    char line[128];
-    std::snprintf(line, sizeof(line),
-                  "parallelism: eff=%.0f%% workers=%u morsels=%llu\n",
-                  par.Efficiency() * 100.0, par.max_workers,
-                  static_cast<unsigned long long>(par.morsels));
-    out += line;
-  }
-  out += "feedback (est vs actual, worst first):\n";
-  out += BuildPlanFeedback(profile).ToString();
-  return out;
+  return RenderExplainAnalyze(PlanString(), *answer, profile);
 }
 
 Compiler::Compiler() : Compiler(BuiltinFunctions()) {}
@@ -709,8 +728,8 @@ StatusOr<ParameterizedQuery> Compiler::CompileParameterized(
     r.string_pool_size = StringPool::Global().size();
     obs::GetQueryLog()->Write(r);
   }
-  return ParameterizedQuery(this, std::move(q), std::move(param_syms), ranf,
-                            options.inverse_fns);
+  return ParameterizedQuery(this, std::move(q), std::string(text),
+                            std::move(param_syms), ranf, options.inverse_fns);
 }
 
 StatusOr<const AlgExpr*> ParameterizedQuery::PlanFor(
@@ -738,70 +757,29 @@ StatusOr<const AlgExpr*> ParameterizedQuery::PlanFor(
 StatusOr<Relation> ParameterizedQuery::Run(const Database& db,
                                            const std::vector<Value>& args,
                                            AlgebraEvalStats* stats) const {
-  obs::Span span("exec.run");
-  std::string text = QueryToString(owner_->ctx(), query_);
-  QueryObsScope obs_scope(text);
-  uint64_t start_ns = obs::NowNs();
-  auto answer = [&]() -> StatusOr<Relation> {
-    auto plan = PlanFor(args);
-    if (!plan.ok()) return plan.status();
-    return EvaluateAlgebra(owner_->ctx(), *plan, db, owner_->functions(),
-                           stats);
-  }();
-  ObserveRun(text, answer, start_ns, EffectiveExecThreads(0));
-  return answer;
+  return RunObserved(
+      *owner_, text_, nullptr, [&] { return PlanFor(args); }, db, stats,
+      nullptr);
 }
 
 StatusOr<Relation> ParameterizedQuery::RunWithProfile(
     const Database& db, const std::vector<Value>& args,
     ExecProfile* profile) const {
-  obs::Span span("exec.run");
-  std::string text = QueryToString(owner_->ctx(), query_);
-  QueryObsScope obs_scope(text);
-  uint64_t start_ns = obs::NowNs();
-  auto answer = [&]() -> StatusOr<Relation> {
-    auto plan = PlanFor(args);
-    if (!plan.ok()) return plan.status();
-    // History keyed on the parameterized text: runs with different
-    // arguments pool into one hash, so corrections are the mean actual
-    // over the argument mix seen so far.
-    ExecOptions exec_options;
-    exec_options.query_hash = obs::HashQueryText(text);
-    auto physical =
-        Lower(owner_->ctx(), *plan, owner_->functions(), exec_options);
-    if (!physical.ok()) return physical.status();
-    return physical->ExecuteToRelation(db, profile);
-  }();
-  ObserveRun(text, answer, start_ns, EffectiveExecThreads(0), profile);
-  return answer;
+  return RunObserved(
+      *owner_, text_, nullptr, [&] { return PlanFor(args); }, db, nullptr,
+      profile);
 }
 
 StatusOr<std::string> ParameterizedQuery::ExplainAnalyze(
     const Database& db, const std::vector<Value>& args) const {
-  auto plan = PlanFor(args);
-  if (!plan.ok()) return plan.status();
   ExecProfile profile;
-  auto answer = RunWithProfile(db, args, &profile);
+  const AlgExpr* plan = nullptr;
+  auto answer = RunObserved(
+      *owner_, text_, nullptr, [&] { return PlanFor(args); }, db, nullptr,
+      &profile, &plan);
   if (!answer.ok()) return answer.status();
-  std::string out =
-      "plan: " + AlgExprToString(owner_->ctx(), *plan) + "\n";
-  out += "answer rows: " + std::to_string(answer->size()) + "\n";
-  out += ExecProfileToString(profile);
-  out += "memory: peak " + std::to_string(profile.total_peak_bytes) +
-         " bytes, allocated " +
-         std::to_string(profile.total_bytes_allocated) + " bytes\n";
-  ParallelSummary par = SumParallel(profile);
-  if (par.max_workers > 1) {
-    char line[128];
-    std::snprintf(line, sizeof(line),
-                  "parallelism: eff=%.0f%% workers=%u morsels=%llu\n",
-                  par.Efficiency() * 100.0, par.max_workers,
-                  static_cast<unsigned long long>(par.morsels));
-    out += line;
-  }
-  out += "feedback (est vs actual, worst first):\n";
-  out += BuildPlanFeedback(profile).ToString();
-  return out;
+  return RenderExplainAnalyze(AlgExprToString(owner_->ctx(), plan), *answer,
+                              profile);
 }
 
 }  // namespace emcalc

@@ -108,7 +108,7 @@ class CompiledQuery {
   obs::CompilePhase profile_;
   std::string text_;  // original query text (compile/run log correlation)
   // Lowered once at compile time and shared by every Run; null when
-  // lowering failed (RunWithProfile then re-lowers to surface the error).
+  // lowering failed (every run then re-lowers to surface the error).
   std::shared_ptr<const PhysicalPlan> physical_;
 };
 
@@ -150,13 +150,18 @@ class ParameterizedQuery {
 
  private:
   friend class Compiler;
-  ParameterizedQuery(Compiler* owner, Query query, std::vector<Symbol> params,
-                     const Formula* ranf, std::map<Symbol, Symbol> inverses)
-      : owner_(owner), query_(std::move(query)), params_(std::move(params)),
-        ranf_(ranf), inverses_(std::move(inverses)) {}
+  ParameterizedQuery(Compiler* owner, Query query, std::string text,
+                     std::vector<Symbol> params, const Formula* ranf,
+                     std::map<Symbol, Symbol> inverses)
+      : owner_(owner), query_(std::move(query)), text_(std::move(text)),
+        params_(std::move(params)), ranf_(ranf),
+        inverses_(std::move(inverses)) {}
 
   Compiler* owner_;
   Query query_;  // head = output variables; body free vars = head + params
+  // Source text as compiled: its hash keys the compile record, every run
+  // record, the history store and flight-recorder events alike.
+  std::string text_;
   std::vector<Symbol> params_;
   const Formula* ranf_;  // RANF for the context `params_`
   std::map<Symbol, Symbol> inverses_;  // declared function inverses

@@ -169,8 +169,8 @@ class Lowerer {
         PhysicalOp* op = NewOp(PhysOpKind::kProjectMap, node->arity());
         op->exprs.assign(node->exprs().begin(), node->exprs().end());
         op->left = *in;
-        // Batch form compiled once here: constant folding, per-stage CSE,
-        // and function-pointer binding all happen at lowering time.
+        // Compiled once here: constant folding, per-stage CSE, and
+        // function-pointer binding all happen at lowering time.
         op->program = std::make_shared<const ScalarProgram>(
             ScalarProgram::CompileProject(op->exprs, ctx_, plan_.fns_));
         return op;
@@ -263,6 +263,22 @@ class Lowerer {
     op->split = split;
     op->keys = std::move(keys);
     op->conds = std::move(residual);  // == all conditions when not hashing
+    if (hash) {
+      std::vector<const ScalarExpr*> probe_keys;
+      std::vector<const ScalarExpr*> build_keys;
+      for (const PhysicalOp::KeyPair& k : op->keys) {
+        probe_keys.push_back(k.left_key);
+        build_keys.push_back(k.right_key);
+      }
+      op->program = std::make_shared<const ScalarProgram>(
+          ScalarProgram::CompileProject(probe_keys, ctx_, plan_.fns_));
+      // The build keys run over the build input alone: rebase their
+      // columns past the probe side.
+      op->build_program = std::make_shared<const ScalarProgram>(
+          ScalarProgram::CompileProject(build_keys, ctx_, plan_.fns_, split));
+    }
+    op->cond_program = std::make_shared<const ScalarProgram>(
+        ScalarProgram::CompileFilter(op->conds, ctx_, plan_.fns_));
     return op;
   }
 

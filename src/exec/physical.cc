@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <optional>
 
 #include "src/base/check.h"
@@ -20,43 +20,25 @@
 namespace emcalc {
 namespace {
 
-// A tuple logically formed by concatenating `left` and `right` (either may
-// be empty for a plain single-tuple view). TupleRefs are two-word spans,
-// so views are passed by value.
-struct TupleView {
-  TupleRef left;
-  TupleRef right;
-
-  const Value& at(int i) const {
-    size_t ln = left.size();
-    if (static_cast<size_t>(i) < ln) return left[static_cast<size_t>(i)];
-    return right[static_cast<size_t>(i) - ln];
-  }
-};
-
 // Rows per morsel. Fixed (never derived from the thread count) so morsel
 // boundaries — and therefore per-morsel output buffers — are identical for
 // every num_threads; buffers concatenated in morsel order plus a final
 // Normalize make parallel output bit-identical to sequential output.
 constexpr size_t kMorselGrain = 2048;
-// Default parallel fan-out floor: inputs smaller than this run on the
-// calling thread only. Overridable per query via
-// ExecOptions::morsel_threshold or the EMCALC_MORSEL_THRESHOLD env knob.
+// Parallel fan-out floor: inputs smaller than this run on the calling
+// thread only.
 constexpr size_t kParallelThreshold = 4096;
-
-size_t EffectiveMorselThreshold(const ExecOptions& opt) {
-  if (opt.morsel_threshold != 0) return opt.morsel_threshold;
-  if (const char* env = std::getenv("EMCALC_MORSEL_THRESHOLD");
-      env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<size_t>(v);
-  }
-  return kParallelThreshold;
-}
+// Lanes per batch of the compiled scalar programs. Batches are clipped to
+// morsel boundaries, so batch counters do not depend on the thread count.
+constexpr size_t kBatchRows = 1024;
 // Hash partitions of the parallel join build (top bits of the key hash).
 constexpr size_t kJoinPartitionBits = 6;
 constexpr size_t kJoinPartitions = size_t{1} << kJoinPartitionBits;
+
+// Batch size for an input of `n` rows: scratch for tiny inputs stays tiny.
+size_t BatchRows(size_t n) {
+  return std::min(kBatchRows, std::max<size_t>(n, 1));
+}
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -70,6 +52,80 @@ uint64_t KeyHash(const Value* key, size_t nk) {
   for (size_t i = 0; i < nk; ++i) h = h * 1099511628211ULL ^ key[i].Hash();
   return h;
 }
+
+// Appends the `sel` rows of the `width`-strided `data` buffer to `buf`. A
+// dense selection is one contiguous run and appends in bulk; a sparse one
+// is first gathered into `staging` (room for sel.size() rows).
+void AppendSelected(const Value* data, size_t width, Selection sel,
+                    Value* staging, Relation& buf) {
+  if (sel.dense()) {
+    buf.AppendRows(data + static_cast<size_t>(sel.first()) * width,
+                   sel.size());
+    return;
+  }
+  if (width > 0) {
+    for (uint32_t i = 0; i < sel.size(); ++i) {
+      std::memcpy(staging + i * width,
+                  data + static_cast<size_t>(sel[i]) * width,
+                  width * sizeof(Value));
+    }
+  }
+  buf.AppendRows(staging, sel.size());
+}
+
+// One morsel's joined-row staging area. Each match is written as the
+// concatenation of its two input rows. With a residual, a full area (and
+// the last partial one, on Flush) runs the residual filter program and the
+// survivors land in `buf`; without one, each row goes to `buf` at once.
+class JoinStage {
+ public:
+  // `rows` has room for `cap` rows of `left_width + right_width` values;
+  // `sc` is prepared for `residual` at `cap` lanes with a row width of
+  // the joined row.
+  JoinStage(const ScalarProgram* residual, size_t left_width,
+            size_t right_width, Value* rows, size_t cap, BatchScratch& sc,
+            Relation& buf, uint64_t* fn_calls)
+      : residual_(residual), left_width_(left_width),
+        width_(left_width + right_width), rows_(rows), cap_(cap), sc_(sc),
+        buf_(buf), fn_calls_(fn_calls) {}
+
+  void Add(const Value* a, const Value* b) {
+    Value* row = rows_ + staged_ * width_;
+    std::copy_n(a, left_width_, row);
+    std::copy_n(b, width_ - left_width_, row + left_width_);
+    if (residual_ == nullptr) {
+      // Nothing to filter: the row goes straight out. Row-at-a-time
+      // appends grow morsel buffers geometrically; exact-size bulk
+      // appends into many small morsel buffers fragmented the heap and
+      // raised peak RSS by ~2.5 MB (7%) on hostbench's ingest_query (q6
+      // on 200k rows, 2 threads, glibc malloc).
+      buf_.AppendRow(row);
+      return;
+    }
+    if (++staged_ == cap_) Flush();
+  }
+
+  void Flush() {
+    Selection sel = Selection::Dense(0, static_cast<uint32_t>(staged_));
+    if (residual_ != nullptr) {
+      sel = residual_->RunFilter(rows_, static_cast<int>(width_), sel, sc_,
+                                 fn_calls_);
+    }
+    AppendSelected(rows_, width_, sel, sc_.row_staging(), buf_);
+    staged_ = 0;
+  }
+
+ private:
+  const ScalarProgram* residual_;
+  size_t left_width_;
+  size_t width_;
+  Value* rows_;
+  size_t cap_;
+  BatchScratch& sc_;
+  Relation& buf_;
+  uint64_t* fn_calls_;
+  size_t staged_ = 0;
+};
 
 std::string OpDetail(const PhysicalOp* op) {
   switch (op->kind) {
@@ -128,8 +184,7 @@ struct ExecContext {
   const Database& db;
   std::vector<OpStats> stats;
   std::vector<std::optional<RelationPtr>> memo;
-  size_t threads;           // effective worker cap, >= 1
-  size_t morsel_threshold;  // minimum input rows before fanning out
+  size_t threads;  // effective worker cap, >= 1
   // Memory attribution and limits for this execution. The governor is
   // checked at operator entry, morsel boundaries, and closure rounds.
   obs::QueryMemory qmem;
@@ -141,7 +196,6 @@ struct ExecContext {
         memo(static_cast<size_t>(p.num_memo_slots_)),
         threads(p.options_.num_threads == 0 ? ThreadPool::HardwareThreads()
                                             : p.options_.num_threads),
-        morsel_threshold(EffectiveMorselThreshold(p.options_)),
         qmem(p.ops_.size()),
         governor(obs::EffectiveLimits(p.options_.limits), &qmem, NowNs()),
         est(p.ops_.size(), -1.0) {}
@@ -162,8 +216,10 @@ struct ExecContext {
 
   StatusOr<Value_> Run(const PhysicalOp* op);
 
-  bool Parallel(size_t n) const {
-    return threads > 1 && n >= morsel_threshold;
+  // Workers for an operator over `n` input rows: the thread cap once the
+  // input clears the fan-out floor, else the calling thread alone.
+  size_t Workers(size_t n) const {
+    return threads > 1 && n >= kParallelThreshold ? threads : 1;
   }
 
   // Folds worker-sharded counters into the operator's stats slot. Every
@@ -200,46 +256,48 @@ struct ExecContext {
     ThreadPool::RegionStats rs;
   };
 
-  Value EvalExpr(const ScalarExpr* e, const TupleView& view, OpStats& s);
-  bool CondsHold(std::span<const AlgCondition> conds, const TupleView& view,
-                 OpStats& s);
+  // The morsel loop every operator's kernel runs in: body(worker, begin,
+  // end, buf) over kMorselGrain morsels of [0, n) on `workers` threads
+  // (one runs inline on the caller). With several workers each morsel
+  // appends to its own buffer, concatenated into `out` in morsel order so
+  // the output does not depend on the schedule; inline, morsels append
+  // straight into `out`. Region telemetry reaches `s` only when the
+  // operator fanned out, so an inline operator keeps par_* at zero.
+  void ForEachMorsel(
+      size_t n, size_t workers, Relation& out, OpStats& s,
+      const std::function<void(size_t, size_t, size_t, Relation&)>& body) {
+    std::vector<Relation> bufs;
+    if (workers > 1) {
+      bufs.reserve((n + kMorselGrain - 1) / kMorselGrain);
+      for (size_t m = 0; m < n; m += kMorselGrain) {
+        bufs.emplace_back(out.arity());
+      }
+    }
+    ParFold par(s);
+    ThreadPool::Global().ParallelFor(
+        n, kMorselGrain, workers,
+        [&](size_t worker, size_t begin, size_t end) {
+          if (governor.Check()) return;
+          body(worker, begin, end,
+               workers > 1 ? bufs[begin / kMorselGrain] : out);
+        },
+        workers > 1 ? &par.rs : nullptr);
+    for (const Relation& buf : bufs) out.AppendAll(buf);
+  }
 
+  // Operator kernels. Every scalar expression runs as a compiled program
+  // (src/exec/scalar_program.h) over batches of the input's flat buffer.
+  // `filter` is non-null when a FilterSelect child is fused into the
+  // ProjectMap — its surviving rows flow to the projection as selection
+  // indices, never materialized.
+  Value_ RunProject(const PhysicalOp* op, const PhysicalOp* filter,
+                    const Value_& in, OpStats& s);
+  Value_ RunFilter(const PhysicalOp* op, const Value_& in, OpStats& s);
   StatusOr<Value_> RunHashJoin(const PhysicalOp* op, const Value_& l,
                                const Value_& r, OpStats& s);
-
-  // Batch kernels (ExecOptions::batch_size > 1): run the compiled scalar
-  // programs over column slices of the input's flat buffer. `filter` is
-  // non-null when a FilterSelect child is fused into the ProjectMap — its
-  // surviving rows flow to the projection as selection indices, never
-  // materialized.
-  StatusOr<Value_> RunBatchProject(const PhysicalOp* op,
-                                   const PhysicalOp* filter, const Value_& in,
-                                   OpStats& s);
-  StatusOr<Value_> RunBatchFilter(const PhysicalOp* op, const Value_& in,
-                                  OpStats& s);
+  Value_ RunNestedLoopJoin(const PhysicalOp* op, const Value_& l,
+                           const Value_& r, OpStats& s);
 };
-
-Value ExecContext::EvalExpr(const ScalarExpr* e, const TupleView& view,
-                            OpStats& s) {
-  switch (e->kind()) {
-    case ScalarExpr::Kind::kCol:
-      return view.at(e->col());
-    case ScalarExpr::Kind::kConst:
-      return plan.ctx_->ConstantAt(e->const_id());
-    case ScalarExpr::Kind::kApply: {
-      std::vector<Value> args;
-      args.reserve(e->args().size());
-      for (const ScalarExpr* a : e->args()) {
-        args.push_back(EvalExpr(a, view, s));
-      }
-      ++s.function_calls;
-      auto it = plan.fns_.find(e->fn());
-      EMCALC_CHECK(it != plan.fns_.end());  // resolved at lowering
-      return it->second->fn(args);
-    }
-  }
-  return Value();
-}
 
 double ExecContext::EstimateRows(const PhysicalOp* op) {
   double& slot = est[static_cast<size_t>(op->id)];
@@ -311,33 +369,12 @@ double ExecContext::EstimateRows(const PhysicalOp* op) {
   return e;
 }
 
-bool ExecContext::CondsHold(std::span<const AlgCondition> conds,
-                            const TupleView& view, OpStats& s) {
-  for (const AlgCondition& c : conds) {
-    Value l = EvalExpr(c.lhs, view, s);
-    Value r = EvalExpr(c.rhs, view, s);
-    bool holds = false;
-    switch (c.op) {
-      case AlgCompareOp::kEq:
-        holds = l == r;
-        break;
-      case AlgCompareOp::kNe:
-        holds = l != r;
-        break;
-      case AlgCompareOp::kLt:
-        holds = l < r;
-        break;
-      case AlgCompareOp::kLe:
-        holds = l < r || l == r;
-        break;
-    }
-    if (!holds) return false;
-  }
-  return true;
-}
-
 // Equi-join over the open-addressing JoinTable. Build on the right input,
-// probe with the left. Large inputs run the partitioned parallel form:
+// probe with the left. Key expressions run as compiled programs: the build
+// keys over the build input's own columns, straight into `build_keys`; the
+// probe keys per batch into a per-worker staging area. Matches go through
+// a JoinStage, so residual conditions, if any, run as one filter program
+// over staged joined rows. Large inputs run the partitioned parallel form:
 //   1. morsel-parallel build-key computation,
 //   2. per-(morsel, partition) counts + prefix sums (sequential, O(m·P)),
 //   3. morsel-parallel scatter of build rows into partition order,
@@ -362,37 +399,57 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
   EMCALC_CHECK_MSG(bn < JoinTable::kEmpty, "join build side too large");
 
   const size_t nk = op->keys.size();
-  Tuple empty_left(static_cast<size_t>(op->split), Value());
-  const TupleRef empty_left_ref(empty_left);
+  const auto left_width = static_cast<size_t>(probe.arity());
+  const auto right_width = static_cast<size_t>(build.arity());
+  const size_t width = left_width + right_width;
+  // One lane count for every program sharing a worker's scratch (build
+  // keys, probe keys, residual): register strides follow it.
+  const size_t batch = BatchRows(std::max(pn, bn));
+  const size_t workers = std::max(Workers(bn), Workers(pn));
+  const bool parallel = workers > 1;
 
   // Phase 1: build-side keys and hashes.
   std::vector<Value> build_keys(bn * nk);
   std::vector<uint64_t> build_hash(bn);
-  // Join scratch (keys, hashes, partition maps) is sized manually, so it
-  // is charged manually; released when this call returns.
+  // Join scratch (keys, hashes, partition maps, probe staging) is sized
+  // manually, so it is charged manually; released when this call returns.
   obs::MemoryCharge scratch(static_cast<int64_t>(
       build_keys.capacity() * sizeof(Value) +
       build_hash.capacity() * sizeof(uint64_t)));
-  const bool parallel = Parallel(bn) || Parallel(pn);
-  const size_t max_workers = parallel ? threads : 1;
-  std::vector<OpStats> shards(max_workers);
+  const ScalarProgram* residual =
+      op->conds.empty() ? nullptr : op->cond_program.get();
+  std::vector<OpStats> shards(workers);
+  // Per-worker batch scratch, prepared here on the calling thread for all
+  // three programs (the buffers only grow).
+  std::vector<BatchScratch> batch_scratch(workers);
+  for (BatchScratch& sc : batch_scratch) {
+    sc.Prepare(*op->build_program, batch, 0);
+    sc.Prepare(*op->program, batch, 0);
+    if (residual != nullptr) sc.Prepare(*residual, batch, width);
+  }
   ParFold par(s);
+  ThreadPool::RegionStats* region_stats = parallel ? &par.rs : nullptr;
+  const Value* build_data = build.data();
   ThreadPool::Global().ParallelFor(
-      bn, kMorselGrain, max_workers,
+      bn, kMorselGrain, workers,
       [&](size_t worker, size_t begin, size_t end) {
         if (governor.Check()) return;
         OpStats& ws = shards[worker];
-        for (size_t i = begin; i < end; ++i) {
-          TupleView view{empty_left_ref, build.row(i)};
-          Value* key = build_keys.data() + i * nk;
-          for (size_t j = 0; j < nk; ++j) {
-            key[j] = EvalExpr(op->keys[j].right_key, view, ws);
+        BatchScratch& sc = batch_scratch[worker];
+        for (size_t b = begin; b < end; b += batch) {
+          const auto count = static_cast<uint32_t>(std::min(batch, end - b));
+          Value* keys = build_keys.data() + b * nk;
+          op->build_program->RunProject(
+              build_data, build.arity(),
+              Selection::Dense(static_cast<uint32_t>(b), count), sc, keys,
+              &ws.function_calls);
+          for (uint32_t i = 0; i < count; ++i) {
+            build_hash[b + i] = KeyHash(keys + i * nk, nk);
           }
-          build_hash[i] = KeyHash(key, nk);
-          ++ws.build_rows;
         }
+        ws.build_rows += end - begin;
       },
-      &par.rs);
+      region_stats);
 
   // Phases 2-4: partition the build rows and build one table per
   // partition. The sequential path uses a single partition.
@@ -419,14 +476,14 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
     // counts[m * P + p]: build rows of morsel m landing in partition p.
     std::vector<size_t> counts(num_morsels * num_partitions, 0);
     ThreadPool::Global().ParallelFor(
-        bn, kMorselGrain, max_workers,
+        bn, kMorselGrain, workers,
         [&](size_t /*worker*/, size_t begin, size_t end) {
           size_t* row = counts.data() + (begin / kMorselGrain) * num_partitions;
           for (size_t i = begin; i < end; ++i) {
             ++row[partition_of(build_hash[i])];
           }
         },
-        &par.rs);
+        region_stats);
     // Prefix sums in (partition, morsel) order: each (m, p) cell becomes
     // the scatter offset for that morsel's slice of that partition.
     size_t running = 0;
@@ -440,7 +497,7 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
     }
     part_start[num_partitions] = running;
     ThreadPool::Global().ParallelFor(
-        bn, kMorselGrain, max_workers,
+        bn, kMorselGrain, workers,
         [&](size_t /*worker*/, size_t begin, size_t end) {
           size_t* offset =
               counts.data() + (begin / kMorselGrain) * num_partitions;
@@ -449,9 +506,9 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
                 static_cast<uint32_t>(i);
           }
         },
-        &par.rs);
+        region_stats);
     ThreadPool::Global().ParallelFor(
-        num_partitions, 1, max_workers,
+        num_partitions, 1, workers,
         [&](size_t /*worker*/, size_t begin, size_t end) {
           if (governor.Check()) return;
           for (size_t p = begin; p < end; ++p) {
@@ -460,65 +517,117 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
                             part_start[p + 1] - part_start[p]);
           }
         },
-        &par.rs);
+        region_stats);
   }
   if (governor.tripped()) return governor.status();
 
-  // Phase 5: probe. Per-morsel output buffers keep emission order
-  // deterministic; everything lands in `out` in morsel order.
-  const size_t probe_morsels = (pn + kMorselGrain - 1) / kMorselGrain;
-  std::vector<Relation> bufs;
-  bufs.reserve(probe_morsels);
-  for (size_t i = 0; i < probe_morsels; ++i) bufs.emplace_back(op->arity);
-  ThreadPool::Global().ParallelFor(
-      pn, kMorselGrain, max_workers,
-      [&](size_t worker, size_t begin, size_t end) {
-        if (governor.Check()) return;
-        OpStats& ws = shards[worker];
-        Relation& buf = bufs[begin / kMorselGrain];
-        std::vector<Value> key(nk);
-        Tuple row;
-        for (size_t i = begin; i < end; ++i) {
-          TupleRef a = probe.row(i);
-          TupleView view{a, TupleRef()};
-          for (size_t j = 0; j < nk; ++j) {
-            key[j] = EvalExpr(op->keys[j].left_key, view, ws);
-          }
-          ++ws.hash_probes;
-          uint64_t h = KeyHash(key.data(), nk);
-          tables[partition_of(h)].ForEachMatch(
-              h, key.data(), [&](uint32_t b_row) {
-                TupleRef b = build.row(b_row);
-                TupleView joined{a, b};
-                if (!op->conds.empty() && !CondsHold(op->conds, joined, ws)) {
-                  return;
-                }
-                row.clear();
-                row.insert(row.end(), a.begin(), a.end());
-                row.insert(row.end(), b.begin(), b.end());
-                buf.AppendRow(row.data());
-              });
-        }
-      },
-      &par.rs);
-  if (governor.tripped()) return governor.status();
+  // Phase 5: probe. Per-worker staging: one batch of probe keys, one area
+  // of joined rows awaiting the residual filter (one row without one).
+  const size_t stage_cap = residual != nullptr ? batch : 1;
+  std::vector<Value> probe_keys(workers * batch * nk);
+  std::vector<Value> joined(workers * stage_cap * width);
+  scratch.Update(scratch.charged() +
+                 static_cast<int64_t>((probe_keys.capacity() +
+                                       joined.capacity()) *
+                                      sizeof(Value)));
+  const Value* probe_data = probe.data();
   out->Reserve(pn);  // one match per probe row is the common shape here
-  for (const Relation& buf : bufs) out->AppendAll(buf);
+  ForEachMorsel(
+      pn, workers, *out, s,
+      [&](size_t worker, size_t begin, size_t end, Relation& buf) {
+        OpStats& ws = shards[worker];
+        BatchScratch& sc = batch_scratch[worker];
+        Value* keys = probe_keys.data() + worker * batch * nk;
+        JoinStage stage(residual, left_width, right_width,
+                        joined.data() + worker * stage_cap * width, stage_cap,
+                        sc, buf, &ws.function_calls);
+        for (size_t b = begin; b < end; b += batch) {
+          const auto count = static_cast<uint32_t>(std::min(batch, end - b));
+          op->program->RunProject(
+              probe_data, probe.arity(),
+              Selection::Dense(static_cast<uint32_t>(b), count), sc, keys,
+              &ws.function_calls);
+          for (uint32_t i = 0; i < count; ++i) {
+            const Value* key = keys + i * nk;
+            const Value* a = probe_data + (b + i) * left_width;
+            const uint64_t h = KeyHash(key, nk);
+            tables[partition_of(h)].ForEachMatch(h, key, [&](uint32_t row) {
+              stage.Add(a, build_data + static_cast<size_t>(row) * right_width);
+            });
+          }
+          ws.hash_probes += count;
+        }
+        stage.Flush();
+      });
+  if (governor.tripped()) return governor.status();
   out->Normalize();
   MergeShards(s, shards);
   s.rows_out += out->size();
   return Value_{out, out};
 }
 
-// Vectorized ProjectMap: the compiled program runs over dense batches of
-// the input's flat buffer (batch boundaries clipped to morsel boundaries,
-// so sequential and parallel executions count identical batches). With a
-// fused FilterSelect child, each batch is first refined to a selection
-// vector and the projection evaluates only the surviving lanes — the
-// filter's output relation is never materialized.
-StatusOr<ExecContext::Value_> ExecContext::RunBatchProject(
-    const PhysicalOp* op, const PhysicalOp* filter, const Value_& in,
-    OpStats& s) {
+// Join without equi-keys: every (left, right) pair is staged as a joined
+// row and the conditions run as one filter program over the staged rows.
+// Morsels split the left input.
+ExecContext::Value_ ExecContext::RunNestedLoopJoin(const PhysicalOp* op,
+                                                   const Value_& l,
+                                                   const Value_& r,
+                                                   OpStats& s) {
+  const Relation& left = *l.rel;
+  const Relation& right = *r.rel;
+  const size_t ln = left.size();
+  const size_t rn = right.size();
+  s.rows_in += ln + rn;
+  auto out = std::make_shared<Relation>(op->arity);
+  const auto left_width = static_cast<size_t>(left.arity());
+  const auto right_width = static_cast<size_t>(right.arity());
+  const size_t width = left_width + right_width;
+  const ScalarProgram* residual =
+      op->conds.empty() ? nullptr : op->cond_program.get();
+  const size_t stage_cap =
+      residual != nullptr ? BatchRows(std::max(ln, rn)) : 1;
+  const size_t workers = Workers(ln);
+  std::vector<Value> joined(workers * stage_cap * width);
+  obs::MemoryCharge scratch(
+      static_cast<int64_t>(joined.capacity() * sizeof(Value)));
+  std::vector<OpStats> shards(workers);
+  std::vector<BatchScratch> batch_scratch(workers);
+  if (residual != nullptr) {
+    for (BatchScratch& sc : batch_scratch) {
+      sc.Prepare(*residual, stage_cap, width);
+    }
+  }
+  const Value* left_data = left.data();
+  const Value* right_data = right.data();
+  ForEachMorsel(
+      ln, workers, *out, s,
+      [&](size_t worker, size_t begin, size_t end, Relation& buf) {
+        JoinStage stage(residual, left_width, right_width,
+                        joined.data() + worker * stage_cap * width, stage_cap,
+                        batch_scratch[worker], buf,
+                        &shards[worker].function_calls);
+        for (size_t i = begin; i < end; ++i) {
+          if ((i & 255u) == 0 && governor.Check()) return;
+          const Value* a = left_data + i * left_width;
+          for (size_t j = 0; j < rn; ++j) {
+            stage.Add(a, right_data + j * right_width);
+          }
+        }
+        stage.Flush();
+      });
+  out->Normalize();
+  MergeShards(s, shards);
+  s.rows_out += out->size();
+  return Value_{out, out};
+}
+
+// ProjectMap: the compiled program runs over dense batches of the input's
+// flat buffer. With a fused FilterSelect child, each batch is first
+// refined to a selection vector and the projection evaluates only the
+// surviving lanes — the filter's output relation is never materialized.
+ExecContext::Value_ ExecContext::RunProject(const PhysicalOp* op,
+                                            const PhysicalOp* filter,
+                                            const Value_& in, OpStats& s) {
   const Relation& in_rel = *in.rel;
   const size_t n = in_rel.size();  // normalizes before slicing
   const int in_arity = in_rel.arity();
@@ -529,85 +638,46 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchProject(
   OpStats* fstats =
       filter != nullptr ? &stats[static_cast<size_t>(filter->id)] : nullptr;
   if (fstats != nullptr) ++fstats->invocations;
-  const size_t bsz =
-      std::min(plan.options_.batch_size, std::max<size_t>(n, 1));
+  const size_t bsz = BatchRows(n);
+  const size_t workers = Workers(n);
   auto out = std::make_shared<Relation>(op->arity);
   out->Reserve(n);
-  uint64_t survivors = 0;
-  if (Parallel(n)) {
-    const size_t num_morsels = (n + kMorselGrain - 1) / kMorselGrain;
-    std::vector<Relation> bufs;
-    bufs.reserve(num_morsels);
-    for (size_t i = 0; i < num_morsels; ++i) bufs.emplace_back(op->arity);
-    std::vector<OpStats> shards(threads);
-    std::vector<OpStats> fshards(cond != nullptr ? threads : 0);
-    std::vector<BatchScratch> pscratch(threads);
-    std::vector<BatchScratch> fscratch(cond != nullptr ? threads : 0);
-    ParFold par(s);
-    ThreadPool::Global().ParallelFor(
-        n, kMorselGrain, threads,
-        [&](size_t worker, size_t begin, size_t end) {
-          if (governor.Check()) return;
-          OpStats& ws = shards[worker];
-          Relation& buf = bufs[begin / kMorselGrain];
-          BatchScratch& ps = pscratch[worker];
-          ps.Prepare(proj, bsz, proj.num_outputs());
-          if (cond != nullptr) fscratch[worker].Prepare(*cond, bsz, 0);
-          for (size_t b = begin; b < end; b += bsz) {
-            const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
-            Selection sel =
-                Selection::Dense(static_cast<uint32_t>(b), count);
-            if (cond != nullptr) {
-              OpStats& wf = fshards[worker];
-              sel = cond->RunFilter(data, in_arity, sel, fscratch[worker],
-                                    &wf.function_calls);
-              ++wf.batches;
-              wf.batch_rows += count;
-              wf.batch_sel_rows += sel.size();
-            }
-            const Value* rows =
-                proj.RunProject(data, in_arity, sel, ps, &ws.function_calls);
-            buf.AppendRows(rows, sel.size());
-            ++ws.batches;
-            ws.batch_rows += count;
-            ws.batch_sel_rows += sel.size();
+  std::vector<OpStats> shards(workers);
+  std::vector<OpStats> fshards(cond != nullptr ? workers : 0);
+  std::vector<BatchScratch> pscratch(workers);
+  std::vector<BatchScratch> fscratch(cond != nullptr ? workers : 0);
+  ForEachMorsel(
+      n, workers, *out, s,
+      [&](size_t worker, size_t begin, size_t end, Relation& buf) {
+        OpStats& ws = shards[worker];
+        BatchScratch& ps = pscratch[worker];
+        ps.Prepare(proj, bsz, proj.num_outputs());
+        if (cond != nullptr) fscratch[worker].Prepare(*cond, bsz, 0);
+        for (size_t b = begin; b < end; b += bsz) {
+          const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
+          Selection sel = Selection::Dense(static_cast<uint32_t>(b), count);
+          if (cond != nullptr) {
+            OpStats& wf = fshards[worker];
+            sel = cond->RunFilter(data, in_arity, sel, fscratch[worker],
+                                  &wf.function_calls);
+            ++wf.batches;
+            wf.batch_rows += count;
+            wf.batch_sel_rows += sel.size();
           }
-        },
-        &par.rs);
-    for (const Relation& buf : bufs) out->AppendAll(buf);
-    if (fstats != nullptr) {
-      for (const OpStats& w : fshards) survivors += w.batch_sel_rows;
-      MergeShards(*fstats, fshards);
-    }
-    MergeShards(s, shards);
-  } else {
-    BatchScratch ps;
-    ps.Prepare(proj, bsz, proj.num_outputs());
-    BatchScratch fs;
-    if (cond != nullptr) fs.Prepare(*cond, bsz, 0);
-    for (size_t m = 0; m < n; m += kMorselGrain) {
-      if (governor.Check()) break;
-      const size_t end = std::min(n, m + kMorselGrain);
-      for (size_t b = m; b < end; b += bsz) {
-        const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
-        Selection sel = Selection::Dense(static_cast<uint32_t>(b), count);
-        if (cond != nullptr) {
-          sel = cond->RunFilter(data, in_arity, sel, fs,
-                                &fstats->function_calls);
-          ++fstats->batches;
-          fstats->batch_rows += count;
-          fstats->batch_sel_rows += sel.size();
-          survivors += sel.size();
+          proj.RunProject(data, in_arity, sel, ps, ps.row_staging(),
+                          &ws.function_calls);
+          buf.AppendRows(ps.row_staging(), sel.size());
+          ++ws.batches;
+          ws.batch_rows += count;
+          ws.batch_sel_rows += sel.size();
         }
-        const Value* rows =
-            proj.RunProject(data, in_arity, sel, ps, &s.function_calls);
-        out->AppendRows(rows, sel.size());
-        ++s.batches;
-        s.batch_rows += count;
-        s.batch_sel_rows += sel.size();
-      }
-    }
+      });
+  uint64_t survivors = 0;
+  if (fstats != nullptr) {
+    for (const OpStats& w : fshards) survivors += w.batch_sel_rows;
+    MergeShards(*fstats, fshards);
   }
+  MergeShards(s, shards);
   out->Normalize();
   // In fused form this operator logically consumes the filter's output,
   // so row accounting matches the unfused (and legacy) plans exactly.
@@ -620,82 +690,41 @@ StatusOr<ExecContext::Value_> ExecContext::RunBatchProject(
   return Value_{out, out};
 }
 
-// Vectorized FilterSelect: staged condition programs refine a selection
-// vector per batch, then the surviving rows are gathered into the scratch
-// staging area and appended in bulk.
-StatusOr<ExecContext::Value_> ExecContext::RunBatchFilter(
-    const PhysicalOp* op, const Value_& in, OpStats& s) {
+// FilterSelect: staged condition programs refine a selection vector per
+// batch, then the surviving rows are appended in bulk.
+ExecContext::Value_ ExecContext::RunFilter(const PhysicalOp* op,
+                                           const Value_& in, OpStats& s) {
   const Relation& in_rel = *in.rel;
   const size_t n = in_rel.size();
   const int in_arity = in_rel.arity();
   const auto width = static_cast<size_t>(in_arity);
   const Value* data = in_rel.data();
   const ScalarProgram& cond = *op->cond_program;
-  const size_t bsz =
-      std::min(plan.options_.batch_size, std::max<size_t>(n, 1));
+  const size_t bsz = BatchRows(n);
+  const size_t workers = Workers(n);
   auto out = std::make_shared<Relation>(op->arity);
-  auto gather = [&](Selection sel, BatchScratch& sc, Relation& buf,
-                    OpStats& ws) {
-    Value* staging = sc.row_staging();
-    if (width > 0) {
-      for (uint32_t i = 0; i < sel.size(); ++i) {
-        std::memcpy(staging + i * width,
-                    data + static_cast<size_t>(sel[i]) * width,
-                    width * sizeof(Value));
-      }
-    }
-    buf.AppendRows(staging, sel.size());
-    ws.tuple_copies += sel.size();
-  };
-  if (Parallel(n)) {
-    const size_t num_morsels = (n + kMorselGrain - 1) / kMorselGrain;
-    std::vector<Relation> bufs;
-    bufs.reserve(num_morsels);
-    for (size_t i = 0; i < num_morsels; ++i) bufs.emplace_back(op->arity);
-    std::vector<OpStats> shards(threads);
-    std::vector<BatchScratch> scratch(threads);
-    ParFold par(s);
-    ThreadPool::Global().ParallelFor(
-        n, kMorselGrain, threads,
-        [&](size_t worker, size_t begin, size_t end) {
-          if (governor.Check()) return;
-          OpStats& ws = shards[worker];
-          Relation& buf = bufs[begin / kMorselGrain];
-          BatchScratch& sc = scratch[worker];
-          sc.Prepare(cond, bsz, width);
-          for (size_t b = begin; b < end; b += bsz) {
-            const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
-            Selection sel = cond.RunFilter(
-                data, in_arity,
-                Selection::Dense(static_cast<uint32_t>(b), count), sc,
-                &ws.function_calls);
-            gather(sel, sc, buf, ws);
-            ++ws.batches;
-            ws.batch_rows += count;
-            ws.batch_sel_rows += sel.size();
-          }
-        },
-        &par.rs);
-    for (const Relation& buf : bufs) out->AppendAll(buf);
-    MergeShards(s, shards);
-  } else {
-    BatchScratch sc;
-    sc.Prepare(cond, bsz, width);
-    for (size_t m = 0; m < n; m += kMorselGrain) {
-      if (governor.Check()) break;
-      const size_t end = std::min(n, m + kMorselGrain);
-      for (size_t b = m; b < end; b += bsz) {
-        const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
-        Selection sel = cond.RunFilter(
-            data, in_arity, Selection::Dense(static_cast<uint32_t>(b), count),
-            sc, &s.function_calls);
-        gather(sel, sc, *out, s);
-        ++s.batches;
-        s.batch_rows += count;
-        s.batch_sel_rows += sel.size();
-      }
-    }
-  }
+  std::vector<OpStats> shards(workers);
+  std::vector<BatchScratch> scratch(workers);
+  ForEachMorsel(
+      n, workers, *out, s,
+      [&](size_t worker, size_t begin, size_t end, Relation& buf) {
+        OpStats& ws = shards[worker];
+        BatchScratch& sc = scratch[worker];
+        sc.Prepare(cond, bsz, width);
+        for (size_t b = begin; b < end; b += bsz) {
+          const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
+          Selection sel = cond.RunFilter(
+              data, in_arity,
+              Selection::Dense(static_cast<uint32_t>(b), count), sc,
+              &ws.function_calls);
+          AppendSelected(data, width, sel, sc.row_staging(), buf);
+          ws.tuple_copies += sel.size();
+          ++ws.batches;
+          ws.batch_rows += count;
+          ws.batch_sel_rows += sel.size();
+        }
+      });
+  MergeShards(s, shards);
   out->Normalize();
   s.rows_in += n;
   s.rows_out += out->size();
@@ -738,12 +767,9 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
       return finish(Value_{RelationPtr(RelationPtr(), rel), nullptr});
     }
     case PhysOpKind::kProjectMap: {
-      const bool batch =
-          plan.options_.batch_size > 1 && op->program != nullptr;
       const PhysicalOp* fused = nullptr;
       const PhysicalOp* source = op->left;
-      if (batch && op->left->kind == PhysOpKind::kFilterSelect &&
-          op->left->cond_program != nullptr) {
+      if (op->left->kind == PhysOpKind::kFilterSelect) {
         // Fuse the child FilterSelect: shared subplans always sit behind a
         // Materialize, so this filter has no other consumer and its result
         // can stay a selection vector.
@@ -752,108 +778,12 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
       }
       auto in = Run(source);
       if (!in.ok()) return done(in.status());
-      if (batch) {
-        auto v = RunBatchProject(op, fused, *in, s);
-        if (!v.ok()) return done(v.status());
-        return finish(std::move(*v));
-      }
-      const Relation& in_rel = *in->rel;
-      const size_t n = in_rel.size();  // normalizes before the region
-      auto out = std::make_shared<Relation>(op->arity);
-      out->Reserve(n);
-      if (Parallel(n)) {
-        const size_t num_morsels = (n + kMorselGrain - 1) / kMorselGrain;
-        std::vector<Relation> bufs;
-        bufs.reserve(num_morsels);
-        for (size_t i = 0; i < num_morsels; ++i) bufs.emplace_back(op->arity);
-        std::vector<OpStats> shards(threads);
-        ParFold par(s);
-        ThreadPool::Global().ParallelFor(
-            n, kMorselGrain, threads,
-            [&](size_t worker, size_t begin, size_t end) {
-              if (governor.Check()) return;
-              OpStats& ws = shards[worker];
-              Relation& buf = bufs[begin / kMorselGrain];
-              Tuple row(op->exprs.size());
-              for (size_t i = begin; i < end; ++i) {
-                TupleView view{in_rel.row(i), TupleRef()};
-                for (size_t j = 0; j < op->exprs.size(); ++j) {
-                  row[j] = EvalExpr(op->exprs[j], view, ws);
-                }
-                buf.AppendRow(row.data());
-              }
-            },
-            &par.rs);
-        for (const Relation& buf : bufs) out->AppendAll(buf);
-        MergeShards(s, shards);
-      } else {
-        Tuple row(op->exprs.size());
-        size_t i = 0;
-        for (TupleRef t : in_rel) {
-          if ((i++ & 2047u) == 0 && governor.Check()) break;
-          TupleView view{t, TupleRef()};
-          for (size_t j = 0; j < op->exprs.size(); ++j) {
-            row[j] = EvalExpr(op->exprs[j], view, s);
-          }
-          out->AppendRow(row.data());
-        }
-      }
-      out->Normalize();
-      s.rows_in += n;
-      s.rows_out += out->size();
-      return finish(Value_{out, out});
+      return finish(RunProject(op, fused, *in, s));
     }
     case PhysOpKind::kFilterSelect: {
       auto in = Run(op->left);
       if (!in.ok()) return done(in.status());
-      if (plan.options_.batch_size > 1 && op->cond_program != nullptr) {
-        auto v = RunBatchFilter(op, *in, s);
-        if (!v.ok()) return done(v.status());
-        return finish(std::move(*v));
-      }
-      const Relation& in_rel = *in->rel;
-      const size_t n = in_rel.size();
-      auto out = std::make_shared<Relation>(op->arity);
-      if (Parallel(n)) {
-        const size_t num_morsels = (n + kMorselGrain - 1) / kMorselGrain;
-        std::vector<Relation> bufs;
-        bufs.reserve(num_morsels);
-        for (size_t i = 0; i < num_morsels; ++i) bufs.emplace_back(op->arity);
-        std::vector<OpStats> shards(threads);
-        ParFold par(s);
-        ThreadPool::Global().ParallelFor(
-            n, kMorselGrain, threads,
-            [&](size_t worker, size_t begin, size_t end) {
-              if (governor.Check()) return;
-              OpStats& ws = shards[worker];
-              Relation& buf = bufs[begin / kMorselGrain];
-              for (size_t i = begin; i < end; ++i) {
-                TupleRef t = in_rel.row(i);
-                TupleView view{t, TupleRef()};
-                if (CondsHold(op->conds, view, ws)) {
-                  buf.AppendRow(t.data());
-                  ++ws.tuple_copies;
-                }
-              }
-            },
-            &par.rs);
-        for (const Relation& buf : bufs) out->AppendAll(buf);
-        MergeShards(s, shards);
-      } else {
-        size_t i = 0;
-        for (TupleRef t : in_rel) {
-          if ((i++ & 2047u) == 0 && governor.Check()) break;
-          TupleView view{t, TupleRef()};
-          if (CondsHold(op->conds, view, s)) {
-            out->Insert(t);
-            ++s.tuple_copies;
-          }
-        }
-      }
-      out->Normalize();
-      s.rows_in += n;
-      s.rows_out += out->size();
-      return finish(Value_{out, out});
+      return finish(RunFilter(op, *in, s));
     }
     case PhysOpKind::kHashJoin:
     case PhysOpKind::kNestedLoopJoin: {
@@ -861,31 +791,12 @@ StatusOr<ExecContext::Value_> ExecContext::Run(const PhysicalOp* op) {
       if (!l.ok()) return done(l.status());
       auto r = Run(op->right);
       if (!r.ok()) return done(r.status());
-      if (op->kind == PhysOpKind::kHashJoin) {
-        auto j = RunHashJoin(op, *l, *r, s);
-        if (!j.ok()) return done(j.status());
-        return finish(std::move(*j));
+      if (op->kind == PhysOpKind::kNestedLoopJoin) {
+        return finish(RunNestedLoopJoin(op, *l, *r, s));
       }
-      auto out = std::make_shared<Relation>(op->arity);
-      Tuple row;
-      size_t li = 0;
-      for (TupleRef a : *l->rel) {
-        if ((li++ & 255u) == 0 && governor.Check()) break;
-        for (TupleRef b : *r->rel) {
-          TupleView joined{a, b};
-          if (!op->conds.empty() && !CondsHold(op->conds, joined, s)) {
-            continue;
-          }
-          row.clear();
-          row.insert(row.end(), a.begin(), a.end());
-          row.insert(row.end(), b.begin(), b.end());
-          out->AppendRow(row.data());
-        }
-      }
-      out->Normalize();
-      s.rows_in += l->rel->size() + r->rel->size();
-      s.rows_out += out->size();
-      return finish(Value_{out, out});
+      auto j = RunHashJoin(op, *l, *r, s);
+      if (!j.ok()) return done(j.status());
+      return finish(std::move(*j));
     }
     case PhysOpKind::kUnionMerge: {
       auto l = Run(op->left);

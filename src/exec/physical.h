@@ -88,8 +88,7 @@ struct OpStats {
   uint64_t par_busy_ns = 0;    // summed per-thread drain time
   uint64_t par_morsels = 0;    // morsels claimed
   uint32_t par_workers = 0;    // most threads that did work in one region
-  // Batch-kernel telemetry (ProjectMap / FilterSelect with batch_size > 1);
-  // all zero on the tuple-at-a-time path.
+  // Batch-kernel telemetry (ProjectMap / FilterSelect).
   uint64_t batches = 0;         // batches executed
   uint64_t batch_rows = 0;      // rows entering batches (rows/batch basis)
   uint64_t batch_sel_rows = 0;  // rows surviving the batch's selection
@@ -160,23 +159,13 @@ struct ExecOptions {
   // never emits kAdom; only the AB88-style baseline does.
   size_t adom_budget = 10'000'000;
   // Worker threads for morsel-parallel operators (FilterSelect,
-  // ProjectMap, the partitioned HashJoin, AdomScan closure rounds).
+  // ProjectMap, the partitioned HashJoin, NestedLoopJoin, AdomScan closure
+  // rounds); inputs under 4096 rows run on the calling thread.
   // 0 means hardware concurrency; 1 disables parallelism entirely.
   // Results are normalized after every parallel region, so output is
   // bit-identical across thread counts. Scalar functions must be pure
   // (thread-safe) — every registry builtin is.
   size_t num_threads = 0;
-  // Rows per execution batch for the vectorized ProjectMap / FilterSelect
-  // kernels (compiled scalar programs over column slices, see
-  // src/exec/scalar_program.h). 1 selects the tuple-at-a-time
-  // interpreter, kept as a differential oracle; output is bit-identical
-  // across batch sizes.
-  size_t batch_size = 1024;
-  // Minimum input rows before a morsel-parallel operator fans out to the
-  // thread pool. 0 defers to the EMCALC_MORSEL_THRESHOLD env knob, and
-  // absent that to the built-in default (4096); an explicit field wins
-  // over the env.
-  size_t morsel_threshold = 0;
   // Per-query resource ceilings (0 = unlimited), merged with the
   // EMCALC_MAX_QUERY_BYTES / EMCALC_MAX_QUERY_MS env knobs at execution
   // (an explicit field here wins). A tripped limit aborts the execution
@@ -208,15 +197,21 @@ struct PhysicalOp {
   // kFilterSelect / join residuals: conditions over the (concatenated)
   // schema.
   std::vector<AlgCondition> conds;
-  // Batch forms compiled at lowering time (see src/exec/scalar_program.h):
-  // `program` for kProjectMap's expression list, `cond_program` for
-  // kFilterSelect's conditions. Shared so a fused FilterSelect→ProjectMap
-  // pair and the plan can reference them without ownership games; null
-  // when the op has no batch form.
+  // The compiled scalar programs (src/exec/scalar_program.h) every scalar
+  // expression of the operator runs as, built once at lowering:
+  //   program       kProjectMap: the output columns;
+  //                 kHashJoin: the probe keys over the left input
+  //   build_program kHashJoin: the build keys over the right input's own
+  //                 columns
+  //   cond_program  kFilterSelect: its conditions; kHashJoin and
+  //                 kNestedLoopJoin: the residual conditions over the
+  //                 concatenated joined row
+  // Null for every other kind (VerifyPhysical rule phys.program).
   std::shared_ptr<const ScalarProgram> program;
+  std::shared_ptr<const ScalarProgram> build_program;
   std::shared_ptr<const ScalarProgram> cond_program;
-  // kHashJoin: equi-key pairs; left_key evaluates over the left tuple,
-  // right_key over the concatenated schema with an empty left part.
+  // kHashJoin: equi-key pairs; left_key reads the left input's columns,
+  // right_key the build side's columns of the concatenated schema.
   struct KeyPair {
     const ScalarExpr* left_key = nullptr;
     const ScalarExpr* right_key = nullptr;

@@ -38,7 +38,7 @@ void LoadColumn(const Value* input, size_t arity, size_t col, Selection sel,
 // total order except on string prefix ties. Int keys are sign-flipped so
 // unsigned word compares match signed value compares; string keys are the
 // pool's big-endian order_prefix. One pool gather per batch side replaces
-// per-comparison pool lookups in the tuple path.
+// per-comparison pool lookups.
 void GatherOrderKeys(const Value* v, uint32_t n, uint8_t* cls,
                      uint64_t* key) {
   const StringPool& pool = StringPool::Global();
@@ -88,16 +88,10 @@ void BatchScratch::Prepare(const ScalarProgram& prog, size_t batch_size,
       cls_.capacity() * sizeof(uint8_t)));
 }
 
-size_t ScalarProgram::ScratchBytes(size_t batch_size,
-                                   size_t row_width) const {
-  size_t bytes =
-      (static_cast<size_t>(num_regs_) + row_width) * batch_size *
-      sizeof(Value);
-  if (has_cmp_stage_) bytes += batch_size * sizeof(uint32_t);
-  if (needs_order_keys_) {
-    bytes += 2 * batch_size * (sizeof(uint64_t) + sizeof(uint8_t));
-  }
-  return bytes;
+size_t ScalarProgram::num_cmp_stages() const {
+  return static_cast<size_t>(std::count_if(
+      stages_.begin(), stages_.end(),
+      [](const Stage& stage) { return stage.has_cmp; }));
 }
 
 // Value-numbering compiler: one register per structurally distinct subtree
@@ -105,8 +99,9 @@ size_t ScalarProgram::ScratchBytes(size_t batch_size,
 class ScalarProgram::Builder {
  public:
   Builder(ScalarProgram* prog, const AstContext& ctx,
-          const std::unordered_map<Symbol, const ScalarFunction*>& fns)
-      : prog_(prog), ctx_(ctx), fns_(fns) {}
+          const std::unordered_map<Symbol, const ScalarFunction*>& fns,
+          int col_base)
+      : prog_(prog), ctx_(ctx), fns_(fns), col_base_(col_base) {}
 
   // Registers computed by earlier stages cover lanes the current (smaller)
   // selection may not align with, so value numbers reset per stage; only
@@ -127,7 +122,7 @@ class ScalarProgram::Builder {
         Insn insn;
         insn.op = Insn::Op::kLoadCol;
         insn.dst = r;
-        insn.col = e->col();
+        insn.col = e->col() - col_base_;
         stage().insns.push_back(std::move(insn));
         numbers_.emplace(std::move(key), r);
         return r;
@@ -202,15 +197,17 @@ class ScalarProgram::Builder {
   ScalarProgram* prog_;
   const AstContext& ctx_;
   const std::unordered_map<Symbol, const ScalarFunction*>& fns_;
+  int col_base_;
   std::unordered_map<std::string, uint16_t> numbers_;  // per-stage CSE
   std::unordered_map<uint16_t, Value> const_regs_;     // for folding
 };
 
 ScalarProgram ScalarProgram::CompileProject(
     std::span<const ScalarExpr* const> exprs, const AstContext& ctx,
-    const std::unordered_map<Symbol, const ScalarFunction*>& fns) {
+    const std::unordered_map<Symbol, const ScalarFunction*>& fns,
+    int col_base) {
   ScalarProgram prog;
-  Builder builder(&prog, ctx, fns);
+  Builder builder(&prog, ctx, fns, col_base);
   builder.BeginStage();
   prog.outputs_.reserve(exprs.size());
   for (const ScalarExpr* e : exprs) {
@@ -223,7 +220,7 @@ ScalarProgram ScalarProgram::CompileFilter(
     std::span<const AlgCondition> conds, const AstContext& ctx,
     const std::unordered_map<Symbol, const ScalarFunction*>& fns) {
   ScalarProgram prog;
-  Builder builder(&prog, ctx, fns);
+  Builder builder(&prog, ctx, fns, /*col_base=*/0);
   for (const AlgCondition& c : conds) {
     builder.BeginStage();
     uint16_t lhs = builder.Emit(c.lhs);
@@ -259,7 +256,7 @@ void ScalarProgram::RunInsns(const Stage& stage, const Value* input,
         break;
       case Insn::Op::kCall: {
         const size_t nargs = insn.args.size();
-        *fn_calls += n;  // one application per lane, as the tuple path
+        *fn_calls += n;  // one application per lane
         if (insn.fn->batch && nargs <= kMaxInlineFnArgs) {
           std::span<const Value> arg_spans[kMaxInlineFnArgs];
           for (size_t j = 0; j < nargs; ++j) {
@@ -385,27 +382,25 @@ Selection ScalarProgram::RunFilter(const Value* input, int arity,
   return sel;
 }
 
-const Value* ScalarProgram::RunProject(const Value* input, int arity,
-                                       Selection sel, BatchScratch& scratch,
-                                       uint64_t* fn_calls) const {
+void ScalarProgram::RunProject(const Value* input, int arity, Selection sel,
+                               BatchScratch& scratch, Value* dst,
+                               uint64_t* fn_calls) const {
   if (!stages_.empty()) {
     RunInsns(stages_.front(), input, arity, sel, scratch, fn_calls);
   }
-  // Transpose the output registers row-major into the staging area, ready
-  // for a bulk append into the arity-strided relation buffer.
+  // Transpose the output registers row-major into `dst`, ready for a bulk
+  // append into an arity-strided relation buffer.
   const uint32_t n = sel.size();
   const size_t width = outputs_.size();
   const size_t stride = scratch.batch_size_;
-  Value* rows = scratch.rows_.data();
   for (size_t j = 0; j < width; ++j) {
     const Value* col = scratch.regs_.data() +
                        static_cast<size_t>(outputs_[j]) * stride;
-    Value* dst = rows + j;
+    Value* out = dst + j;
     for (uint32_t i = 0; i < n; ++i) {
-      dst[static_cast<size_t>(i) * width] = col[i];
+      out[static_cast<size_t>(i) * width] = col[i];
     }
   }
-  return rows;
 }
 
 }  // namespace emcalc

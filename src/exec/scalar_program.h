@@ -1,10 +1,12 @@
 // Compiled scalar programs: the batch execution form of ScalarExpr trees.
 //
-// At lowering time every ProjectMap expression list and FilterSelect
-// condition list is compiled once into a flat register program. Registers
-// are column slices (one Value per active lane of the current batch);
-// instructions gather an input column, splat a constant, or apply a bound
-// ScalarFunction to argument registers. Compilation performs
+// At lowering time every scalar expression of a plan — ProjectMap output
+// columns, FilterSelect conditions, HashJoin probe and build keys, join
+// residual conditions — is compiled once into a flat register program;
+// it is the engine's only scalar evaluator. Registers are column slices
+// (one Value per active lane of the current batch); instructions gather
+// an input column, splat a constant, or apply a bound ScalarFunction to
+// argument registers. Compilation performs
 //   - constant folding: an application whose arguments are all constants
 //     runs once at compile time (registry functions are pure and total),
 //   - common-subexpression elimination: structurally equal subtrees within
@@ -16,7 +18,7 @@
 // A filter program is staged: each condition gets its own instruction run
 // followed by a comparison that refines the batch's Selection, and later
 // stages evaluate only the surviving lanes. Per-lane work therefore never
-// exceeds the tuple-at-a-time interpreter's short-circuit evaluation.
+// exceeds a short-circuiting tuple-at-a-time evaluation.
 // Comparisons on all-inline-int columns run a branch-light loop over the
 // raw value words (the inline encoding is order-preserving); mixed columns
 // first gather per-lane order keys (int value or StringPool order_prefix)
@@ -61,7 +63,8 @@ class BatchScratch {
   // Sizes every buffer for `prog` at `batch_size` lanes plus a row staging
   // area of `row_width` values per lane, and (re)charges the capacity.
   // Idempotent for equal arguments; callable with different programs (the
-  // buffers only grow).
+  // buffers only grow) at one batch_size — register strides follow the
+  // largest batch_size seen, sized only for the program passed with it.
   void Prepare(const ScalarProgram& prog, size_t batch_size,
                size_t row_width);
 
@@ -84,9 +87,13 @@ class ScalarProgram {
  public:
   // Compiles a projection's output expressions. Every kApply symbol must
   // already be bound in `fns` (the Lowerer resolves before compiling).
+  // Column references are rebased by `col_base`: a hash join's build keys
+  // are written over the concatenated join schema but run over the build
+  // input alone, so they compile with col_base = the join's split.
   static ScalarProgram CompileProject(
       std::span<const ScalarExpr* const> exprs, const AstContext& ctx,
-      const std::unordered_map<Symbol, const ScalarFunction*>& fns);
+      const std::unordered_map<Symbol, const ScalarFunction*>& fns,
+      int col_base = 0);
 
   // Compiles a selection's conditions into one stage per condition.
   static ScalarProgram CompileFilter(
@@ -101,23 +108,24 @@ class ScalarProgram {
 
   int num_regs() const { return num_regs_; }
   size_t num_outputs() const { return outputs_.size(); }
-  // Bytes one BatchScratch will charge when prepared for this program.
-  size_t ScratchBytes(size_t batch_size, size_t row_width) const;
+  // Comparison stages: one per compiled condition (0 for a projection).
+  size_t num_cmp_stages() const;
 
   // Filter form: runs the staged conditions over the `sel` rows of the
   // arity-strided `input` buffer. The returned Selection (backed by
   // scratch) holds the surviving absolute row indexes, ascending.
   // `fn_calls` accumulates one count per lane per function application,
-  // matching the tuple interpreter's accounting.
+  // matching the legacy interpreter's accounting.
   Selection RunFilter(const Value* input, int arity, Selection sel,
                       BatchScratch& scratch, uint64_t* fn_calls) const;
 
   // Projection form: evaluates every output column over the `sel` rows of
-  // `input` and transposes the results row-major into the scratch staging
-  // area (sel.size() rows of num_outputs() values). Returns the staging
-  // pointer, valid until the next use of `scratch`.
-  const Value* RunProject(const Value* input, int arity, Selection sel,
-                          BatchScratch& scratch, uint64_t* fn_calls) const;
+  // `input` and writes the results row-major to `dst` (sel.size() rows of
+  // num_outputs() values) — the scratch staging area for a ProjectMap, the
+  // key arrays for a HashJoin.
+  void RunProject(const Value* input, int arity, Selection sel,
+                  BatchScratch& scratch, Value* dst,
+                  uint64_t* fn_calls) const;
 
  private:
   friend class BatchScratch;

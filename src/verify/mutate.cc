@@ -65,6 +65,8 @@ constexpr MutationInfo kMutations[] = {
      "phys.memo"},
     {Mutation::kPhysDuplicateOpId, "phys-duplicate-op-id", "phys.op-id"},
     {Mutation::kPhysDropChild, "phys-drop-child", "phys.children"},
+    {Mutation::kPhysJoinStaleKeyProgram, "phys-join-stale-key-program",
+     "phys.program"},
 };
 
 const MutationInfo& Info(Mutation m) {
@@ -385,6 +387,12 @@ bool PlanMutator::Corrupt(PhysicalPlan& plan, Mutation m) {
       if (op == nullptr) op = find(PhysOpKind::kFilterSelect);
       if (op == nullptr) return false;
       op->left = nullptr;
+      return true;
+    }
+    case Mutation::kPhysJoinStaleKeyProgram: {
+      PhysicalOp* op = find(PhysOpKind::kHashJoin);
+      if (op == nullptr) return false;
+      op->program = std::make_shared<const ScalarProgram>();
       return true;
     }
     default:

@@ -58,11 +58,12 @@ enum class Mutation : uint8_t {
   kPhysConsumersUnderflow, // Materialize with a single consumer
   kPhysDuplicateOpId,      // two operators share a stats/memory slot id
   kPhysDropChild,          // unary operator loses its input
+  kPhysJoinStaleKeyProgram,  // HashJoin probe-key program out of sync
 };
 
 // First and last enumerators, for iteration in the harness.
 inline constexpr Mutation kFirstMutation = Mutation::kAlgProjectArityUp;
-inline constexpr Mutation kLastMutation = Mutation::kPhysDropChild;
+inline constexpr Mutation kLastMutation = Mutation::kPhysJoinStaleKeyProgram;
 
 // Stable display name, e.g. "alg-project-arity-up".
 const char* MutationName(Mutation m);

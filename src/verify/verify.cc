@@ -709,6 +709,7 @@ class PhysicalChecker {
           CheckExpr(e, op->left->arity, path,
                     Label{"projection expression ", i++});
         }
+        CheckProgram(op->program, "output", op->exprs.size(), 0, path);
         break;
       }
       case PhysOpKind::kFilterSelect: {
@@ -718,6 +719,8 @@ class PhysicalChecker {
                   " != input arity " + std::to_string(op->left->arity));
         }
         CheckConds(op, op->left->arity, path);
+        CheckProgram(op->cond_program, "condition", 0, op->conds.size(),
+                     path);
         break;
       }
       case PhysOpKind::kHashJoin:
@@ -734,6 +737,13 @@ class PhysicalChecker {
                   " != left input arity " + std::to_string(op->left->arity));
         }
         CheckConds(op, combined, path);
+        CheckProgram(op->cond_program, "residual", 0, op->conds.size(),
+                     path);
+        if (op->kind == PhysOpKind::kHashJoin) {
+          CheckProgram(op->program, "probe key", op->keys.size(), 0, path);
+          CheckProgram(op->build_program, "build key", op->keys.size(), 0,
+                       path);
+        }
         if (op->kind == PhysOpKind::kNestedLoopJoin && !op->keys.empty()) {
           Add(report_, "phys.key-null", path,
               "NestedLoopJoin carries equi-keys (should have lowered to a "
@@ -835,6 +845,28 @@ class PhysicalChecker {
       Walk(op->right, right);
     }
     state_.At(slot) = State::kDone;
+  }
+
+  // Execution runs every scalar expression through the operator's
+  // compiled programs, so each must exist and match the list it was
+  // compiled from: one output per expression, one comparison stage per
+  // condition.
+  void CheckProgram(const std::shared_ptr<const ScalarProgram>& prog,
+                    const char* what, size_t outputs, size_t stages,
+                    const PathNode& path) {
+    if (prog == nullptr) {
+      Add(report_, "phys.program", path,
+          std::string(what) + " program is missing");
+      return;
+    }
+    if (prog->num_outputs() != outputs || prog->num_cmp_stages() != stages) {
+      Add(report_, "phys.program", path,
+          std::string(what) + " program has " +
+              std::to_string(prog->num_outputs()) + " output(s) and " +
+              std::to_string(prog->num_cmp_stages()) +
+              " comparison stage(s), expected " + std::to_string(outputs) +
+              " and " + std::to_string(stages));
+    }
   }
 
   void CheckConds(const PhysicalOp* op, int input_arity,

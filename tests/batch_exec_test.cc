@@ -1,9 +1,9 @@
-// Differential tests for the vectorized batch kernels (src/exec/
-// scalar_program.h, src/exec/selection.h): every (batch_size, num_threads)
-// combination must produce output bit-identical to the tuple-at-a-time
-// interpreter and to the legacy recursive evaluator, over the paper corpus
-// and a seeded random corpus; plus unit tests for Selection edge cases and
-// the compiled scalar program (CSE, constant folding, staged filters).
+// Differential tests for the batch kernels (src/exec/scalar_program.h,
+// src/exec/selection.h): every num_threads setting must produce output
+// bit-identical to the legacy tuple-at-a-time evaluator over the paper
+// corpus, a seeded random corpus, and joins whose keys and residuals apply
+// scalar functions; plus unit tests for Selection edge cases and the
+// compiled scalar program (CSE, constant folding, staged filters).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -100,20 +100,16 @@ TEST_F(BatchProgramTest, CommonSubexpressionsShareWork) {
   const AlgExpr* plan = factory_.Project(
       {Apply1("double", shared), Apply1("neg", shared)}, factory_.Rel("R", 2));
 
-  AlgebraEvalOptions tuple_opts;
-  tuple_opts.batch_size = 1;
-  tuple_opts.num_threads = 1;
   AlgebraEvalOptions batch_opts;
-  batch_opts.batch_size = 16;
   batch_opts.num_threads = 1;
   AlgebraEvalStats ts, bs;
-  auto tuple = EvaluateAlgebra(ctx_, plan, db_, registry_, &ts, tuple_opts);
+  auto tuple = EvaluateAlgebraLegacy(ctx_, plan, db_, registry_, &ts);
   auto batch = EvaluateAlgebra(ctx_, plan, db_, registry_, &bs, batch_opts);
   ASSERT_TRUE(tuple.ok());
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(*tuple, *batch);
-  // Tuple path: 3 applications per row (succ twice). Batch: 3 ops but the
-  // shared succ register evaluates once, so 3 counted lanes per row.
+  // Tuple path: 4 applications per row (succ twice). Batch: 3 ops, the
+  // shared succ register evaluated once, so 3 counted lanes per row.
   EXPECT_EQ(ts.function_calls, 4u * 50u);
   EXPECT_EQ(bs.function_calls, 3u * 50u);
 }
@@ -126,7 +122,6 @@ TEST_F(BatchProgramTest, ConstantApplicationsFoldAtCompileTime) {
       factory_.Rel("R", 2));
 
   AlgebraEvalOptions batch_opts;
-  batch_opts.batch_size = 16;
   batch_opts.num_threads = 1;
   AlgebraEvalStats bs;
   auto batch = EvaluateAlgebra(ctx_, plan, db_, registry_, &bs, batch_opts);
@@ -145,14 +140,10 @@ TEST_F(BatchProgramTest, StagedFilterMatchesShortCircuitCounts) {
        {Apply1("succ", e.Col(0)), AlgCompareOp::kNe, e.Col(1)}},
       factory_.Rel("R", 2));
 
-  AlgebraEvalOptions tuple_opts;
-  tuple_opts.batch_size = 1;
-  tuple_opts.num_threads = 1;
   AlgebraEvalOptions batch_opts;
-  batch_opts.batch_size = 7;
   batch_opts.num_threads = 1;
   AlgebraEvalStats ts, bs;
-  auto tuple = EvaluateAlgebra(ctx_, plan, db_, registry_, &ts, tuple_opts);
+  auto tuple = EvaluateAlgebraLegacy(ctx_, plan, db_, registry_, &ts);
   auto batch = EvaluateAlgebra(ctx_, plan, db_, registry_, &bs, batch_opts);
   ASSERT_TRUE(tuple.ok());
   ASSERT_TRUE(batch.ok());
@@ -186,14 +177,8 @@ TEST_F(BatchProgramTest, MixedOrderComparisonsMatchTuplePath) {
                           AlgCompareOp::kEq, AlgCompareOp::kNe}) {
     const AlgExpr* plan =
         factory_.Select({{e.Col(0), op, e.Col(1)}}, factory_.Rel("M", 2));
-    AlgebraEvalOptions tuple_opts;
-    tuple_opts.batch_size = 1;
-    AlgebraEvalOptions batch_opts;
-    batch_opts.batch_size = 1024;
-    auto tuple = EvaluateAlgebra(ctx_, plan, db, registry_,
-                                 /*stats=*/nullptr, tuple_opts);
-    auto batch = EvaluateAlgebra(ctx_, plan, db, registry_,
-                                 /*stats=*/nullptr, batch_opts);
+    auto tuple = EvaluateAlgebraLegacy(ctx_, plan, db, registry_);
+    auto batch = EvaluateAlgebra(ctx_, plan, db, registry_);
     ASSERT_TRUE(tuple.ok());
     ASSERT_TRUE(batch.ok());
     EXPECT_EQ(tuple->ToString(), batch->ToString())
@@ -211,34 +196,29 @@ TEST_F(BatchProgramTest, FusedFilterProjectKeepsRowAccounting) {
       factory_.Select({{e.Col(0), AlgCompareOp::kLt, e.Col(1)}},
                       factory_.Rel("R", 2)));
 
-  for (size_t batch_size : {size_t{1}, size_t{16}}) {
-    ExecOptions opts;
-    opts.batch_size = batch_size;
-    opts.num_threads = 1;
-    auto physical = Lower(ctx_, plan, registry_, opts);
-    ASSERT_TRUE(physical.ok());
-    ExecProfile profile;
-    auto result = physical->ExecuteToRelation(db_, &profile);
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(profile.op, PhysOpKind::kProjectMap);
-    ASSERT_EQ(profile.children.size(), 1u);
-    const ExecProfile& filter = profile.children[0];
-    ASSERT_EQ(filter.op, PhysOpKind::kFilterSelect);
-    // R holds (i, 100-i) for i in [0,50): i < 100-i holds for every row.
-    EXPECT_EQ(filter.stats.rows_in, 50u);
-    EXPECT_EQ(filter.stats.rows_out, 50u);
-    EXPECT_EQ(profile.stats.rows_in, 50u);
-    if (batch_size > 1) {
-      EXPECT_GT(profile.stats.batches, 0u);
-      EXPECT_EQ(profile.stats.batch_rows, 50u);
-      EXPECT_EQ(profile.stats.batch_sel_rows, 50u);
-      // Fused: the filter materializes nothing, so it copies nothing.
-      EXPECT_EQ(filter.stats.tuple_copies, 0u);
-      std::string rendered = ExecProfileToString(profile);
-      EXPECT_NE(rendered.find("batches="), std::string::npos);
-      EXPECT_NE(rendered.find("sel_density="), std::string::npos);
-    }
-  }
+  ExecOptions opts;
+  opts.num_threads = 1;
+  auto physical = Lower(ctx_, plan, registry_, opts);
+  ASSERT_TRUE(physical.ok());
+  ExecProfile profile;
+  auto result = physical->ExecuteToRelation(db_, &profile);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(profile.op, PhysOpKind::kProjectMap);
+  ASSERT_EQ(profile.children.size(), 1u);
+  const ExecProfile& filter = profile.children[0];
+  ASSERT_EQ(filter.op, PhysOpKind::kFilterSelect);
+  // R holds (i, 100-i) for i in [0,50): i < 100-i holds for every row.
+  EXPECT_EQ(filter.stats.rows_in, 50u);
+  EXPECT_EQ(filter.stats.rows_out, 50u);
+  EXPECT_EQ(profile.stats.rows_in, 50u);
+  EXPECT_GT(profile.stats.batches, 0u);
+  EXPECT_EQ(profile.stats.batch_rows, 50u);
+  EXPECT_EQ(profile.stats.batch_sel_rows, 50u);
+  // Fused: the filter materializes nothing, so it copies nothing.
+  EXPECT_EQ(filter.stats.tuple_copies, 0u);
+  std::string rendered = ExecProfileToString(profile);
+  EXPECT_NE(rendered.find("batches="), std::string::npos);
+  EXPECT_NE(rendered.find("sel_density="), std::string::npos);
 }
 
 // Profile JSON round-trip including the batch counters.
@@ -289,12 +269,11 @@ FunctionRegistry CorpusFunctions() {
   return reg;
 }
 
-const size_t kBatchSizes[] = {1, 7, 1024};
 const size_t kThreadCounts[] = {1, 4, 0};
 
 // Paper corpus on inputs large enough to exercise the parallel batch
-// kernels: every (batch_size, num_threads) cell must match the legacy
-// interpreter bit-for-bit (ToString compares the normalized rendering).
+// kernels: every num_threads setting must match the legacy interpreter
+// bit-for-bit (ToString compares the normalized rendering).
 TEST(BatchDifferentialTest, PaperCorpusIdenticalAcrossBatchGrid) {
   FunctionRegistry registry = CorpusFunctions();
   for (const CorpusQuery& cq : kPaperCorpus) {
@@ -311,23 +290,19 @@ TEST(BatchDifferentialTest, PaperCorpusIdenticalAcrossBatchGrid) {
     auto legacy = EvaluateAlgebraLegacy(ctx, t->plan, db, registry);
     ASSERT_TRUE(legacy.ok()) << cq.text;
     const std::string want = legacy->ToString();
-    for (size_t batch_size : kBatchSizes) {
-      for (size_t threads : kThreadCounts) {
-        AlgebraEvalOptions options;
-        options.batch_size = batch_size;
-        options.num_threads = threads;
-        auto phys = EvaluateAlgebra(ctx, t->plan, db, registry,
-                                    /*stats=*/nullptr, options);
-        ASSERT_TRUE(phys.ok()) << cq.text;
-        EXPECT_EQ(phys->ToString(), want)
-            << cq.text << " differs at batch_size=" << batch_size
-            << " num_threads=" << threads;
-      }
+    for (size_t threads : kThreadCounts) {
+      AlgebraEvalOptions options;
+      options.num_threads = threads;
+      auto phys = EvaluateAlgebra(ctx, t->plan, db, registry,
+                                  /*stats=*/nullptr, options);
+      ASSERT_TRUE(phys.ok()) << cq.text;
+      EXPECT_EQ(phys->ToString(), want)
+          << cq.text << " differs at num_threads=" << threads;
     }
   }
 }
 
-// 200 seeded random em-allowed queries through the full grid. Small
+// 200 seeded random em-allowed queries at every thread count. Small
 // databases sweep plan shapes (including odd arities and empty inputs)
 // through the batched entry points; function-call counts must never
 // exceed the tuple path's (CSE and folding only remove work).
@@ -362,25 +337,20 @@ TEST(BatchDifferentialTest, RandomQueriesIdenticalAcrossBatchGrid) {
       auto legacy = EvaluateAlgebraLegacy(ctx, t->plan, db, registry, &ls);
       ASSERT_TRUE(legacy.ok()) << QueryToString(ctx, *q);
       const std::string want = legacy->ToString();
-      for (size_t batch_size : kBatchSizes) {
-        for (size_t threads : kThreadCounts) {
-          AlgebraEvalOptions options;
-          options.batch_size = batch_size;
-          options.num_threads = threads;
-          AlgebraEvalStats ps;
-          auto phys = EvaluateAlgebra(ctx, t->plan, db, registry, &ps,
-                                      options);
-          ASSERT_TRUE(phys.ok()) << QueryToString(ctx, *q);
-          ASSERT_EQ(phys->ToString(), want)
-              << QueryToString(ctx, *q) << "\nplan: "
-              << AlgExprToString(ctx, t->plan)
-              << "\nbatch_size=" << batch_size
-              << " num_threads=" << threads;
-          EXPECT_EQ(ls.tuples_produced, ps.tuples_produced)
-              << QueryToString(ctx, *q) << " batch_size=" << batch_size;
-          EXPECT_LE(ps.function_calls, ls.function_calls)
-              << QueryToString(ctx, *q) << " batch_size=" << batch_size;
-        }
+      for (size_t threads : kThreadCounts) {
+        AlgebraEvalOptions options;
+        options.num_threads = threads;
+        AlgebraEvalStats ps;
+        auto phys = EvaluateAlgebra(ctx, t->plan, db, registry, &ps,
+                                    options);
+        ASSERT_TRUE(phys.ok()) << QueryToString(ctx, *q);
+        ASSERT_EQ(phys->ToString(), want)
+            << QueryToString(ctx, *q) << "\nplan: "
+            << AlgExprToString(ctx, t->plan) << "\nnum_threads=" << threads;
+        EXPECT_EQ(ls.tuples_produced, ps.tuples_produced)
+            << QueryToString(ctx, *q) << " num_threads=" << threads;
+        EXPECT_LE(ps.function_calls, ls.function_calls)
+            << QueryToString(ctx, *q) << " num_threads=" << threads;
       }
       ++checked;
     }
@@ -388,40 +358,108 @@ TEST(BatchDifferentialTest, RandomQueriesIdenticalAcrossBatchGrid) {
   EXPECT_EQ(checked, 200) << "generator exhausted before 200 queries";
 }
 
-// The morsel threshold knob: an explicit option forces tiny inputs onto
-// the parallel path (par_workers recorded), and the env knob is read only
-// when the option is 0.
-TEST(BatchDifferentialTest, MorselThresholdOptionControlsFanOut) {
+// Joins run every key and residual condition as a compiled program: build
+// keys rebased to the build input's columns, probe keys per batch, the
+// residual as a filter over staged joined rows. Inputs of 100 rows stay on
+// one thread; 5000 rows clear the fan-out floor, so the partitioned build
+// and the parallel probe run at 4 and hardware threads.
+TEST(BatchDifferentialTest, JoinProgramsMatchLegacyAcrossThreads) {
   AstContext ctx;
   AlgebraFactory factory(ctx);
   ExprFactory& e = factory.exprs();
   FunctionRegistry registry = BuiltinFunctions();
-  Database db;
-  ASSERT_TRUE(db.AddRelation("R", 1).ok());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(db.Insert("R", {Value::Int(i)}).ok());
+  auto apply = [&](const char* fn, std::vector<const ScalarExpr*> args) {
+    return e.Apply(ctx.symbols().Intern(fn), args);
+  };
+  const AlgExpr* r = factory.Rel("R", 2);
+  const AlgExpr* s = factory.Rel("S", 2);
+  const AlgExpr* small = factory.Rel("T", 2);
+  const std::vector<const AlgExpr*> plans = {
+      // join({succ(@1) == @3, @2 < @4}, R, S): function-bearing probe key
+      // plus an inequality residual.
+      factory.Join({{apply("succ", {e.Col(0)}), AlgCompareOp::kEq, e.Col(2)},
+                    {e.Col(1), AlgCompareOp::kLt, e.Col(3)}},
+                   r, s),
+      // Functions on both key sides; the build key reads S's first column
+      // at concatenated position 2. The residual applies a function to
+      // both sides of the joined row.
+      factory.Join({{apply("double", {e.Col(0)}), AlgCompareOp::kEq,
+                     apply("succ", {e.Col(2)})},
+                    {apply("plus", {e.Col(1), e.Col(3)}), AlgCompareOp::kNe,
+                     e.Col(0)}},
+                   r, s),
+      // Two keys, the second written build side first.
+      factory.Join({{e.Col(0), AlgCompareOp::kEq, e.Col(3)},
+                    {apply("neg", {e.Col(2)}), AlgCompareOp::kEq,
+                     apply("neg", {e.Col(1)})}},
+                   r, s),
+      // Inequality-only: a NestedLoopJoin over a small right input.
+      factory.Join({{e.Col(1), AlgCompareOp::kLt, e.Col(3)}}, r, small),
+      factory.Join({{apply("plus", {e.Col(0), e.Col(1)}), AlgCompareOp::kLe,
+                     e.Col(3)},
+                    {e.Col(0), AlgCompareOp::kNe, e.Col(2)}},
+                   r, small),
+  };
+  for (size_t rows : {size_t{100}, size_t{5000}}) {
+    Database db;
+    const auto pool = static_cast<int>(rows / 10);
+    AddRandomTuples(db, "R", 2, rows, pool, /*seed=*/11);
+    AddRandomTuples(db, "S", 2, rows, pool, /*seed=*/12);
+    AddRandomTuples(db, "T", 2, 20, pool, /*seed=*/13);
+    for (const AlgExpr* plan : plans) {
+      AlgebraEvalStats ls;
+      auto legacy = EvaluateAlgebraLegacy(ctx, plan, db, registry, &ls);
+      ASSERT_TRUE(legacy.ok()) << AlgExprToString(ctx, plan);
+      ASSERT_GT(legacy->size(), 0u) << AlgExprToString(ctx, plan);
+      const std::string want = legacy->ToString();
+      for (size_t threads : kThreadCounts) {
+        AlgebraEvalOptions options;
+        options.num_threads = threads;
+        AlgebraEvalStats ps;
+        auto phys = EvaluateAlgebra(ctx, plan, db, registry, &ps, options);
+        ASSERT_TRUE(phys.ok()) << AlgExprToString(ctx, plan);
+        EXPECT_EQ(phys->ToString(), want)
+            << AlgExprToString(ctx, plan) << " rows=" << rows
+            << " num_threads=" << threads;
+        EXPECT_LE(ps.function_calls, ls.function_calls)
+            << AlgExprToString(ctx, plan) << " rows=" << rows
+            << " num_threads=" << threads;
+      }
+    }
   }
+}
+
+// The parallel fan-out floor: at 4 threads an input one row short of it
+// runs inline (no parallel-region telemetry), one at the floor fans out.
+TEST(BatchDifferentialTest, ParallelFloorControlsFanOut) {
+  AstContext ctx;
+  AlgebraFactory factory(ctx);
+  ExprFactory& e = factory.exprs();
+  FunctionRegistry registry = BuiltinFunctions();
   Symbol succ = ctx.symbols().Intern("succ");
   const AlgExpr* plan = factory.Project(
       {e.Apply(succ, std::vector<const ScalarExpr*>{e.Col(0)})},
       factory.Rel("R", 1));
 
-  auto run = [&](ExecOptions opts) {
+  auto morsels = [&](int rows) {
+    Database db;
+    EXPECT_TRUE(db.AddRelation("R", 1).ok());
+    for (int i = 0; i < rows; ++i) {
+      EXPECT_TRUE(db.Insert("R", {Value::Int(i)}).ok());
+    }
+    ExecOptions opts;
+    opts.num_threads = 4;
     auto physical = Lower(ctx, plan, registry, opts);
     EXPECT_TRUE(physical.ok());
     ExecProfile profile;
     auto result = physical->ExecuteToRelation(db, &profile);
     EXPECT_TRUE(result.ok());
+    EXPECT_EQ(result->size(), static_cast<size_t>(rows));
     return profile.stats.par_morsels;
   };
 
-  ExecOptions default_opts;
-  default_opts.num_threads = 4;
-  EXPECT_EQ(run(default_opts), 0u);  // 100 rows < default 4096 floor
-
-  ExecOptions low_floor = default_opts;
-  low_floor.morsel_threshold = 10;
-  EXPECT_GT(run(low_floor), 0u);  // forced onto the parallel path
+  EXPECT_EQ(morsels(4095), 0u);
+  EXPECT_GT(morsels(4096), 0u);
 }
 
 }  // namespace

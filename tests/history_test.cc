@@ -398,5 +398,29 @@ TEST(HistoryFeedbackTest, WarmStoreCorrectsEstimatesKeepsAnswers) {
   }
 }
 
+// A plain parameterized Run feeds the history store like RunWithProfile:
+// one run under the compile-time text's hash, with per-operator entries.
+TEST(HistoryFeedbackTest, ParameterizedRunRecordsOperators) {
+  ScopedTempDir dir("hist_param");
+  auto store = obs::HistoryStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  ScopedHistoryStore scoped(store->get());
+
+  Database db;
+  AddRandomTuples(db, "R", 2, 200, 20, 3);
+  const std::string text = "{y | R(x, y)}";
+  Compiler compiler;
+  auto q = compiler.CompileParameterized(text, {"x"});
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_TRUE(q->Run(db, {Value::Int(4)}).ok());
+
+  EXPECT_EQ(store->get()->total_runs(), 1u);
+  obs::HistoryScan scan = store->get()->Scan();
+  const obs::QueryHistory* h = FindHash(scan, obs::HashQueryText(text));
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->runs, 1u);
+  EXPECT_FALSE(h->ops.empty());
+}
+
 }  // namespace
 }  // namespace emcalc

@@ -502,6 +502,11 @@ TEST_F(ObsEndToEndTest, QueryLogRecordsCompileAndRunWithSharedHash) {
   // A rejected query logs a failed compile record.
   auto bad = compiler_.Compile("{x | not EDGE(x, x)}");
   EXPECT_FALSE(bad.ok());
+  // A parameterized query's run records carry its compile record's hash.
+  const std::string param_text = "{y | EDGE(x, y)}";
+  auto pq = compiler_.CompileParameterized(param_text, {"x"});
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+  ASSERT_TRUE(pq->Run(db_, {Value::Int(1)}).ok());
   obs::SetQueryLog(saved);
 
   std::vector<obs::QueryLogRecord> records;
@@ -512,7 +517,7 @@ TEST_F(ObsEndToEndTest, QueryLogRecordsCompileAndRunWithSharedHash) {
     ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << line;
     records.push_back(*std::move(r));
   }
-  ASSERT_EQ(records.size(), 3u);
+  ASSERT_EQ(records.size(), 5u);
 
   EXPECT_EQ(records[0].event, "compile");
   EXPECT_TRUE(records[0].ok);
@@ -532,6 +537,38 @@ TEST_F(ObsEndToEndTest, QueryLogRecordsCompileAndRunWithSharedHash) {
   EXPECT_FALSE(records[2].ok);
   EXPECT_FALSE(records[2].em_allowed);
   EXPECT_FALSE(records[2].error.empty());
+
+  EXPECT_EQ(records[3].event, "compile");
+  EXPECT_TRUE(records[3].ok);
+  EXPECT_EQ(records[3].query_hash, obs::HashQueryText(param_text));
+  EXPECT_EQ(records[4].event, "run");
+  EXPECT_TRUE(records[4].ok);
+  EXPECT_EQ(records[4].rows_out, 1u);  // EDGE(1, 2)
+  EXPECT_EQ(records[4].query_hash, records[3].query_hash);
+}
+
+// ExplainAnalyze renders the plan that ran: it plans once per call, so it
+// grows the compiler's arena exactly as much as one RunWithProfile.
+TEST_F(ObsEndToEndTest, ParameterizedExplainAnalyzePlansOnce) {
+  auto q = compiler_.CompileParameterized("{y | EDGE(x, y)}", {"x"});
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const std::vector<Value> args = {Value::Int(2)};
+  const Arena& arena = compiler_.ctx().arena();
+  ExecProfile warm;
+  ASSERT_TRUE(q->RunWithProfile(db_, args, &warm).ok());
+
+  size_t before = arena.bytes_allocated();
+  ExecProfile profile;
+  ASSERT_TRUE(q->RunWithProfile(db_, args, &profile).ok());
+  const size_t run_growth = arena.bytes_allocated() - before;
+  EXPECT_GT(run_growth, 0u);
+
+  before = arena.bytes_allocated();
+  auto explain = q->ExplainAnalyze(db_, args);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(arena.bytes_allocated() - before, run_growth);
+  EXPECT_NE(explain->find("plan: "), std::string::npos) << *explain;
+  EXPECT_NE(explain->find("answer rows: 1"), std::string::npos) << *explain;
 }
 
 TEST(MetricsTest, PrometheusExpositionRendersAllMetricKinds) {

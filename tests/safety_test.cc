@@ -96,9 +96,15 @@ TEST_F(SafetyTest, SimplifyIsIdempotentOnCorpus) {
 // --- em-allowed: the paper's named queries ---
 
 struct Case {
+  const char* label;
   const char* text;
   bool em_allowed;
 };
+
+// Prints the label alone. Without this, gtest prints a Case as its raw bytes
+// (string pointers and uninitialised padding), so the listed test names
+// differ from run to run.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.label; }
 
 class EmAllowedCase : public SafetyTest,
                       public ::testing::WithParamInterface<Case> {};
@@ -114,23 +120,25 @@ INSTANTIATE_TEST_SUITE_P(
     PaperQueries, EmAllowedCase,
     ::testing::Values(
         // q1: project-style function query.
-        Case{"exists x (R(x) and y = g(f(x)))", true},
+        Case{"q1", "exists x (R(x) and y = g(f(x)))", true},
         // q2: em-allowed but not range-restricted (Section 2).
-        Case{"R(x) and exists y (f(x) = y and not R(y))", true},
+        Case{"q2", "R(x) and exists y (f(x) = y and not R(y))", true},
         // q4 (with the bounding atom B(x); DESIGN.md R3): em-allowed.
-        Case{"B(x) and not (((f(x) != y and g(x) != y) or R(x, y)) and "
+        Case{"q4",
+             "B(x) and not (((f(x) != y and g(x) != y) or R(x, y)) and "
              "((h(x) != y and k(x) != y) or P(x, y)))",
              true},
         // q4 without any bounding for x: x escapes, not em-allowed.
-        Case{"not (((f(x) != y and g(x) != y) or R(x, y)) and "
+        Case{"q4_unbounded",
+             "not (((f(x) != y and g(x) != y) or R(x, y)) and "
              "((h(x) != y and k(x) != y) or P(x, y)))",
              false},
         // q5: em-allowed but not Top91-safe.
-        Case{"(R(x) and f(x) = y) or (S(y) and g(y) = x)", true},
+        Case{"q5", "(R(x) and f(x) = y) or (S(y) and g(y) = x)", true},
         // q6: the classic difference query.
-        Case{"R(x, y, z) and not S(y, z)", true},
+        Case{"q6", "R(x, y, z) and not S(y, z)", true},
         // q7: not embedded domain independent (Section 2 vs Top91).
-        Case{"x = 0 and forall u (exists v (plus(u, 1) = v))", false}));
+        Case{"q7", "x = 0 and forall u (exists v (plus(u, 1) = v))", false}));
 
 class UnsafeCase : public SafetyTest,
                    public ::testing::WithParamInterface<const char*> {};
