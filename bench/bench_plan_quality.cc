@@ -73,10 +73,10 @@ bool RunCorpusPass(std::vector<double>& factors, size_t& corrected_ops,
     auto answer = q->RunWithProfile(db, &profile);
     if (!answer.ok()) return false;
     answers.push_back(std::move(answer).value());
-    corrected_ops += emcalc::CountHistoryCorrectedOps(profile);
     for (const emcalc::PlanFeedbackEntry& e :
          emcalc::BuildPlanFeedback(profile).entries) {
       factors.push_back(e.factor);
+      if (e.est_history_runs > 0) ++corrected_ops;
     }
   }
   return true;

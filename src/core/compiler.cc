@@ -20,6 +20,7 @@
 #include "src/exec/feedback.h"
 #include "src/exec/lower.h"
 #include "src/obs/flight_recorder.h"
+#include "src/obs/history.h"
 #include "src/obs/metrics.h"
 #include "src/obs/postmortem.h"
 #include "src/obs/query_log.h"
@@ -107,7 +108,6 @@ void LogCompile(const std::string& text, const Status& status,
   obs::QueryLog* log = obs::GetQueryLog();
   if (log == nullptr) return;
   obs::QueryLogRecord r;
-  r.event = "compile";
   r.query = text;
   r.query_hash = obs::HashQueryText(text);
   r.ok = status.ok();
@@ -123,42 +123,6 @@ void LogCompile(const std::string& text, const Status& status,
   if (query != nullptr) r.level = CountApplications(query->body);
   r.string_pool_size = StringPool::Global().size();
   r.diagnostics = std::move(diagnostics);
-  log->Write(r);
-}
-
-void LogRunRecord(const std::string& text, uint64_t hash, bool ok,
-                  const std::string& error, uint64_t rows_out,
-                  uint64_t wall_ns, uint64_t exec_threads,
-                  const ExecProfile* profile, std::string aborted_limit) {
-  obs::QueryLog* log = obs::GetQueryLog();
-  if (log == nullptr) return;
-  obs::QueryLogRecord r;
-  r.event = "run";
-  r.query = text;
-  r.query_hash = hash;
-  r.ok = ok;
-  r.error = error;
-  r.rows_out = rows_out;
-  r.wall_ns = wall_ns;
-  r.string_pool_size = StringPool::Global().size();
-  r.exec_threads = exec_threads;
-  r.aborted_limit = std::move(aborted_limit);
-  if (profile != nullptr) {
-    r.peak_bytes = static_cast<uint64_t>(
-        std::max<int64_t>(profile->total_peak_bytes, 0));
-    r.bytes_allocated = profile->total_bytes_allocated;
-    PlanFeedback feedback = BuildPlanFeedback(*profile);
-    if (!feedback.entries.empty()) {
-      r.misestimate_factor = feedback.max_factor;
-      r.misestimate_op = feedback.worst_op;
-    }
-    r.est_history_ops = CountHistoryCorrectedOps(*profile);
-    ParallelSummary par = SumParallel(*profile);
-    if (par.max_workers > 1) {
-      r.parallel_efficiency = par.Efficiency();
-      r.par_workers = par.max_workers;
-    }
-  }
   log->Write(r);
 }
 
@@ -182,9 +146,10 @@ class QueryObsScope {
   uint64_t hash_;
 };
 
-// Updates run metrics + query log for one execution attempt. `profile`
-// (optional) contributes memory accounting, the aborting resource limit,
-// and the worst plan misestimate to the "run" record.
+// Updates run metrics for one execution attempt and, when any sink would
+// consume it, builds the attempt's one run record and hands it to each:
+// the query log, the history store (only when a plan ran) and, for a
+// failed run, a postmortem bundle. `profile` is null when no plan ran.
 void ObserveRun(const std::string& text, uint64_t hash,
                 const StatusOr<Relation>& result, uint64_t start_ns,
                 uint64_t exec_threads, const ExecProfile* profile) {
@@ -192,50 +157,26 @@ void ObserveRun(const std::string& text, uint64_t hash,
   RunMetrics& m = RunMetrics::Get();
   m.runs.Add();
   m.wall_ns.Observe(static_cast<double>(wall));
-  // The governor phrases resource errors "<limit_name> exceeded: ..."; the
-  // first token names the tripped limit.
-  std::string aborted_limit;
-  if (!result.ok() &&
-      result.status().code() == StatusCode::kResourceExhausted) {
-    const std::string& msg = result.status().message();
-    aborted_limit = msg.substr(0, msg.find(' '));
-  }
-  if (obs::HistoryStore* store = obs::GetHistoryStore();
-      store != nullptr && profile != nullptr) {
-    obs::RunObservation run = CollectRunObservation(hash, text, *profile);
-    run.ok = result.ok();
-    run.aborted_limit = aborted_limit;
-    run.wall_ns = wall;
-    run.peak_bytes =
-        static_cast<uint64_t>(std::max<int64_t>(profile->total_peak_bytes, 0));
-    if (result.ok()) run.rows_out = result->size();
-    ParallelSummary par = SumParallel(*profile);
-    if (par.max_workers > 1) {
-      run.parallel_efficiency = par.Efficiency();
-      run.par_workers = par.max_workers;
-    }
-    store->RecordRun(run);
-  }
   if (result.ok()) {
     m.rows_out.Add(result->size());
-    LogRunRecord(text, hash, true, "", result->size(), wall, exec_threads,
-                 profile, "");
   } else {
     m.errors.Add();
-    if (obs::PostmortemEnabled()) {
-      // Best-effort bundle: failure to write must not mask the run error.
-      obs::PostmortemInfo info;
-      info.reason = aborted_limit.empty() ? "run_error" : "governor_abort";
-      info.query = text;
-      info.query_hash = hash;
-      info.error = result.status().ToString();
-      info.aborted_limit = aborted_limit;
-      if (profile != nullptr) info.profile_json = ExecProfileToJson(*profile);
-      (void)obs::WritePostmortem(info);
-    }
-    LogRunRecord(text, hash, false, result.status().ToString(), 0, wall,
-                 exec_threads, profile, std::move(aborted_limit));
   }
+  obs::QueryLog* log = obs::GetQueryLog();
+  obs::HistoryStore* store =
+      profile != nullptr ? obs::GetHistoryStore() : nullptr;
+  const bool postmortem = !result.ok() && obs::PostmortemEnabled();
+  if (log == nullptr && store == nullptr && !postmortem) return;
+  const obs::RunRecord run =
+      BuildRunRecord(hash, text, result, wall, exec_threads, profile);
+  if (store != nullptr) store->RecordRun(run);
+  if (postmortem) {
+    // Best-effort bundle: failure to write must not mask the run error.
+    (void)obs::WritePostmortem(
+        run.aborted_limit.empty() ? "run_error" : "governor_abort", run,
+        profile != nullptr ? ExecProfileToJson(*profile) : std::string());
+  }
+  if (log != nullptr) log->Write(run);
 }
 
 // The one observed-run path behind every Run, RunWithProfile and
@@ -668,10 +609,7 @@ StatusOr<ParameterizedQuery> Compiler::CompileParameterized(
   }
 
   // Safety relative to the parameter context ("em-allowed for X").
-  BoundOptions bound = options.bound;
-  for (const auto& [fn, inv] : options.inverse_fns) {
-    bound.invertible_fns.Insert(fn);
-  }
+  BoundOptions bound = EffectiveBound(options);
   int find_count = 0;
   size_t bd_computations = 0;
   {
@@ -713,21 +651,12 @@ StatusOr<ParameterizedQuery> Compiler::CompileParameterized(
 
   profile.wall_ns = obs::NowNs() - start_ns;
   CompileMetrics::Get().wall_ns.Observe(static_cast<double>(profile.wall_ns));
-  if (obs::GetQueryLog() != nullptr) {
-    obs::QueryLogRecord r;
-    r.event = "compile";
-    r.query = std::string(text);
-    r.query_hash = obs::HashQueryText(text);
-    r.ok = true;
-    r.em_allowed = true;
-    r.level = CountApplications(q.body);
-    r.find_count = find_count;
-    r.ranf_size = FormulaSize(ranf);
-    r.wall_ns = profile.wall_ns;
-    r.phase_ns = obs::FlattenPhases(profile);
-    r.string_pool_size = StringPool::Global().size();
-    obs::GetQueryLog()->Write(r);
-  }
+  // The plan is built per call, so the record has no plan_nodes.
+  Translation logged;
+  logged.safety.em_allowed = true;
+  logged.find_count = static_cast<size_t>(find_count);
+  logged.ranf = ranf;
+  LogCompile(std::string(text), Status::Ok(), profile, &logged, &q);
   return ParameterizedQuery(this, std::move(q), std::string(text),
                             std::move(param_syms), ranf, options.inverse_fns);
 }

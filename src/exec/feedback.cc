@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/base/string_pool.h"
 #include "src/obs/json.h"
 
 namespace emcalc {
@@ -140,11 +141,13 @@ void WalkPlanPaths(const PhysicalOp* op, const std::string& path,
 // Profile-side DFS: children are stored in the same (left, right) order
 // and shared re-visits are shared_ref stubs, so paths line up with
 // WalkPlanPaths by construction.
-void CollectRunOps(const ExecProfile& p, const std::string& path,
-                   std::vector<obs::RunObservation::Op>& ops) {
+void CollectRun(const ExecProfile& p, const std::string& path,
+                obs::RunRecord& run, ParallelSummary& par) {
   if (p.shared_ref) return;
+  par.Add(p.stats);
+  if (p.stats.est_history_runs > 0) ++run.est_history_ops;
   if (p.op != PhysOpKind::kMaterialize && p.stats.est_rows >= 0) {
-    obs::RunObservation::Op op;
+    obs::RunRecord::Op op;
     op.path = path;
     op.op = PhysOpKindName(p.op);
     if (!p.detail.empty()) op.op += "(" + p.detail + ")";
@@ -152,13 +155,19 @@ void CollectRunOps(const ExecProfile& p, const std::string& path,
     op.actual_rows = p.stats.rows_out;
     op.factor = MisestimateFactor(p.stats.est_rows,
                                   static_cast<double>(p.stats.rows_out));
-    ops.push_back(std::move(op));
+    // Strictly worse only: ties keep the first operator in plan order, as
+    // BuildPlanFeedback's stable ranking does.
+    if (op.factor > run.misestimate_factor) {
+      run.misestimate_factor = op.factor;
+      run.misestimate_op = op.op;
+    }
+    run.ops.push_back(std::move(op));
   }
   for (size_t i = 0; i < p.children.size(); ++i) {
-    CollectRunOps(p.children[i],
-                  path + "/" + std::to_string(i) + ":" +
-                      PhysOpKindName(p.children[i].op),
-                  ops);
+    CollectRun(p.children[i],
+               path + "/" + std::to_string(i) + ":" +
+                   PhysOpKindName(p.children[i].op),
+               run, par);
   }
 }
 
@@ -173,24 +182,40 @@ std::vector<std::string> PlanOpPaths(const PhysicalPlan& plan) {
   return paths;
 }
 
-obs::RunObservation CollectRunObservation(uint64_t query_hash,
-                                          const std::string& query_text,
-                                          const ExecProfile& profile) {
-  obs::RunObservation run;
+obs::RunRecord BuildRunRecord(uint64_t query_hash,
+                              const std::string& query_text,
+                              const StatusOr<Relation>& result,
+                              uint64_t wall_ns, uint64_t exec_threads,
+                              const ExecProfile* profile) {
+  obs::RunRecord run;
   run.query_hash = query_hash;
   run.query = query_text;
-  run.rows_out = profile.stats.rows_out;
-  CollectRunOps(profile, PhysOpKindName(profile.op), run.ops);
-  return run;
-}
-
-size_t CountHistoryCorrectedOps(const ExecProfile& profile) {
-  if (profile.shared_ref) return 0;
-  size_t n = profile.stats.est_history_runs > 0 ? 1 : 0;
-  for (const ExecProfile& c : profile.children) {
-    n += CountHistoryCorrectedOps(c);
+  run.ok = result.ok();
+  if (result.ok()) {
+    run.rows_out = result->size();
+  } else {
+    run.error = result.status().ToString();
+    // The governor phrases resource errors "<limit_name> exceeded: ...";
+    // the first token names the tripped limit.
+    if (result.status().code() == StatusCode::kResourceExhausted) {
+      const std::string& msg = result.status().message();
+      run.aborted_limit = msg.substr(0, msg.find(' '));
+    }
   }
-  return n;
+  run.wall_ns = wall_ns;
+  run.exec_threads = exec_threads;
+  run.string_pool_size = StringPool::Global().size();
+  if (profile == nullptr) return run;
+  run.peak_bytes =
+      static_cast<uint64_t>(std::max<int64_t>(profile->total_peak_bytes, 0));
+  run.bytes_allocated = profile->total_bytes_allocated;
+  ParallelSummary par;
+  CollectRun(*profile, PhysOpKindName(profile->op), run, par);
+  if (par.max_workers > 1) {
+    run.parallel_efficiency = par.Efficiency();
+    run.par_workers = par.max_workers;
+  }
+  return run;
 }
 
 }  // namespace emcalc

@@ -4,7 +4,7 @@
 // ranking operators by misestimation factor — the quotient of the larger
 // and the smaller of (estimate, actual), floored at 1 — so the worst
 // planning decisions surface first. Surfaced via EXPLAIN ANALYZE, the
-// query log, and the repl's .feedback command.
+// run record (query log, history store), and the repl's .feedback command.
 #ifndef EMCALC_EXEC_FEEDBACK_H_
 #define EMCALC_EXEC_FEEDBACK_H_
 
@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "src/exec/physical.h"
-#include "src/obs/history.h"
+#include "src/obs/run_record.h"
 
 namespace emcalc {
 
@@ -73,18 +73,19 @@ PlanFeedback BuildPlanFeedback(const ExecProfile& profile);
 // path) map to "".
 std::vector<std::string> PlanOpPaths(const PhysicalPlan& plan);
 
-// Flattens one executed profile into a history observation: fills
-// query_hash, query, rows_out (root), and per-op path/est/actual/factor
-// samples (same skip rules as BuildPlanFeedback). Run-level outcome
-// fields (ok, aborted_limit, wall_ns, peak_bytes, parallel efficiency)
-// are left for the caller.
-obs::RunObservation CollectRunObservation(uint64_t query_hash,
-                                          const std::string& query_text,
-                                          const ExecProfile& profile);
-
-// Number of operators in `profile` whose estimate was history-corrected
-// (est_history_runs > 0; shared-reference stubs excluded).
-size_t CountHistoryCorrectedOps(const ExecProfile& profile);
+// Builds the run record (src/obs/run_record.h) of one execution attempt
+// — the one record every observability sink receives. `profile` is null
+// when no plan ran (planning or lowering failed); otherwise one walk over
+// it fills the per-op path/est/actual/factor list (same skip rules as
+// BuildPlanFeedback), the misestimate summary, the history-corrected op
+// count, the parallel summary and the memory totals. A failed run reports
+// rows_out 0; a kResourceExhausted status names the tripped governor
+// limit in aborted_limit.
+obs::RunRecord BuildRunRecord(uint64_t query_hash,
+                              const std::string& query_text,
+                              const StatusOr<Relation>& result,
+                              uint64_t wall_ns, uint64_t exec_threads,
+                              const ExecProfile* profile);
 
 }  // namespace emcalc
 

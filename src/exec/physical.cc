@@ -1002,18 +1002,19 @@ void RenderProfile(const ExecProfile& p, int depth, std::string& out) {
 }
 
 void SumParallelInto(const ExecProfile& p, ParallelSummary& sum) {
-  if (!p.shared_ref && p.stats.par_workers > 1) {
-    sum.busy_ns += p.stats.par_busy_ns;
-    sum.weighted_wall_ns += p.stats.par_wall_ns * p.stats.par_workers;
-    sum.morsels += p.stats.par_morsels;
-    if (p.stats.par_workers > sum.max_workers) {
-      sum.max_workers = p.stats.par_workers;
-    }
-  }
+  if (!p.shared_ref) sum.Add(p.stats);
   for (const ExecProfile& c : p.children) SumParallelInto(c, sum);
 }
 
 }  // namespace
+
+void ParallelSummary::Add(const OpStats& stats) {
+  if (stats.par_workers <= 1) return;
+  busy_ns += stats.par_busy_ns;
+  weighted_wall_ns += stats.par_wall_ns * stats.par_workers;
+  morsels += stats.par_morsels;
+  if (stats.par_workers > max_workers) max_workers = stats.par_workers;
+}
 
 ExecTotals SumProfile(const ExecProfile& profile) {
   ExecTotals totals;

@@ -103,6 +103,8 @@ struct ParallelSummary {
   uint64_t weighted_wall_ns = 0;  // sum of par_wall_ns * par_workers
   uint64_t morsels = 0;
   uint32_t max_workers = 0;
+  // Folds in one operator (counted only when it ran with > 1 worker).
+  void Add(const OpStats& stats);
   double Efficiency() const {
     if (weighted_wall_ns == 0) return 0;
     double eff = static_cast<double>(busy_ns) /

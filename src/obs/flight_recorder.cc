@@ -1,14 +1,12 @@
 #include "src/obs/flight_recorder.h"
 
-#include <unistd.h>
-
 #include <atomic>
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
 #include "src/obs/json.h"
+#include "src/obs/raw_write.h"
 #include "src/obs/trace.h"
 
 namespace emcalc::obs {
@@ -29,18 +27,20 @@ struct Ring {
   size_t capacity = 0;  // power of two
   std::atomic<uint64_t> head{0};
   std::atomic<uint64_t>* words = nullptr;  // capacity * kWordsPerSlot
+  // Set by a test reset: drains skip the ring, which stays in its registry
+  // slot (reachable, never freed) because a concurrent drain may still be
+  // reading it.
+  std::atomic<bool> retired{false};
 };
 
 // Fixed registry of rings so the signal handler can iterate without locks.
-// Slots are published with release stores and never reordered; a retired
-// ring (test reset) leaves a null slot behind.
+// Slots are published with release stores and never reordered or cleared.
 std::atomic<Ring*> g_rings[kMaxRings];
 std::atomic<size_t> g_ring_count{0};
 std::atomic<bool> g_enabled{true};
 std::atomic<bool> g_env_checked{false};
 
 thread_local Ring* t_ring = nullptr;
-thread_local size_t t_ring_slot = 0;
 
 size_t RoundUpPow2(size_t v) {
   size_t p = 1;
@@ -83,7 +83,6 @@ Ring* CreateRing(size_t capacity) {
   ring->tid = CurrentThreadId();
   ring->capacity = capacity;
   ring->words = new std::atomic<uint64_t>[capacity * kWordsPerSlot]();
-  t_ring_slot = slot;
   g_rings[slot].store(ring, std::memory_order_release);
   return ring;
 }
@@ -158,20 +157,30 @@ void FlightRecord(FlightEventKind kind, const char* name, uint64_t arg) {
   ring->head.store(head + 1, std::memory_order_release);
 }
 
-std::vector<FlightEvent> DrainFlightRecorder() {
-  std::vector<FlightEvent> events;
+// Calls `f` on every readable event of every live ring, ring by ring
+// (oldest first within a ring). Lock- and allocation-free, so the signal
+// path uses it too.
+template <typename F>
+void ForEachRecordedEvent(F&& f) {
   size_t count = std::min(g_ring_count.load(std::memory_order_acquire),
                           kMaxRings);
   for (size_t i = 0; i < count; ++i) {
     Ring* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
+    if (ring == nullptr || ring->retired.load(std::memory_order_acquire)) {
+      continue;
+    }
     uint64_t head = ring->head.load(std::memory_order_acquire);
     uint64_t start = head > ring->capacity ? head - ring->capacity : 0;
     for (uint64_t seq = start; seq < head; ++seq) {
       FlightEvent e;
-      if (ReadSlot(*ring, seq, &e)) events.push_back(e);
+      if (ReadSlot(*ring, seq, &e)) f(e);
     }
   }
+}
+
+std::vector<FlightEvent> DrainFlightRecorder() {
+  std::vector<FlightEvent> events;
+  ForEachRecordedEvent([&](const FlightEvent& e) { events.push_back(e); });
   std::sort(events.begin(), events.end(),
             [](const FlightEvent& a, const FlightEvent& b) {
               return a.ts_ns < b.ts_ns;
@@ -196,82 +205,31 @@ std::string FlightEventsToJson(const std::vector<FlightEvent>& events) {
   return out;
 }
 
-namespace {
-
-// write(2) with EINTR retry; best effort (a signal handler cannot recover
-// from a failed dump anyway).
-void RawWrite(int fd, const char* data, size_t n) {
-  while (n > 0) {
-    ssize_t w = ::write(fd, data, n);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      return;
-    }
-    data += w;
-    n -= static_cast<size_t>(w);
-  }
-}
-
-void RawWriteStr(int fd, const char* s) { RawWrite(fd, s, std::strlen(s)); }
-
-void RawWriteU64(int fd, uint64_t v) {
-  char buf[24];
-  char* p = buf + sizeof(buf);
-  do {
-    *--p = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  RawWrite(fd, p, static_cast<size_t>(buf + sizeof(buf) - p));
-}
-
-// Names are string literals (identifiers); anything that would need JSON
-// escaping is replaced rather than escaped to stay trivially signal-safe.
-void RawWriteName(int fd, const char* s) {
-  for (const char* p = s; *p != '\0'; ++p) {
-    char c = *p;
-    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) c = '?';
-    RawWrite(fd, &c, 1);
-  }
-}
-
-}  // namespace
-
 void DumpFlightRingsJson(int fd) {
   RawWriteStr(fd, "[");
   bool first = true;
-  size_t count = std::min(g_ring_count.load(std::memory_order_acquire),
-                          kMaxRings);
-  for (size_t i = 0; i < count; ++i) {
-    Ring* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    uint64_t head = ring->head.load(std::memory_order_acquire);
-    uint64_t start = head > ring->capacity ? head - ring->capacity : 0;
-    for (uint64_t seq = start; seq < head; ++seq) {
-      FlightEvent e;
-      if (!ReadSlot(*ring, seq, &e)) continue;
-      if (!first) RawWriteStr(fd, ",");
-      first = false;
-      RawWriteStr(fd, "{\"ts_ns\":");
-      RawWriteU64(fd, e.ts_ns);
-      RawWriteStr(fd, ",\"tid\":");
-      RawWriteU64(fd, e.tid);
-      RawWriteStr(fd, ",\"kind\":\"");
-      RawWriteStr(fd, FlightEventKindName(e.kind));
-      RawWriteStr(fd, "\",\"name\":\"");
-      RawWriteName(fd, e.name);
-      RawWriteStr(fd, "\",\"arg\":");
-      RawWriteU64(fd, e.arg);
-      RawWriteStr(fd, "}");
-    }
-  }
+  ForEachRecordedEvent([&](const FlightEvent& e) {
+    if (!first) RawWriteStr(fd, ",");
+    first = false;
+    RawWriteStr(fd, "{\"ts_ns\":");
+    RawWriteU64(fd, e.ts_ns);
+    RawWriteStr(fd, ",\"tid\":");
+    RawWriteU64(fd, e.tid);
+    RawWriteStr(fd, ",\"kind\":\"");
+    RawWriteStr(fd, FlightEventKindName(e.kind));
+    RawWriteStr(fd, "\",\"name\":\"");
+    RawWriteSanitized(fd, e.name, std::strlen(e.name));
+    RawWriteStr(fd, "\",\"arg\":");
+    RawWriteU64(fd, e.arg);
+    RawWriteStr(fd, "}");
+  });
   RawWriteStr(fd, "]");
 }
 
 void ResetFlightRingForTesting(size_t capacity_events) {
   if (t_ring != nullptr) {
-    // Retire the old ring so drains no longer see its events. The ring
-    // itself is leaked: a concurrent drain may still be reading it.
-    g_rings[t_ring_slot].store(nullptr, std::memory_order_release);
+    // Retire the old ring so drains no longer see its events.
+    t_ring->retired.store(true, std::memory_order_release);
     t_ring = nullptr;
   }
   if (capacity_events < 2) capacity_events = 2;

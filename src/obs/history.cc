@@ -10,17 +10,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <utility>
 
 #include "src/obs/json.h"
+#include "src/obs/raw_write.h"
 
 namespace emcalc::obs {
 
 namespace {
 
-constexpr int kHistoryFormatVersion = 1;
+constexpr int kHistoryFormatVersion = 2;
 constexpr const char kHistoryFileName[] = "history.jsonl";
 
 struct HistoryMetrics {
@@ -38,25 +38,6 @@ struct HistoryMetrics {
     return *m;
   }
 };
-
-bool WriteAll(int fd, const char* data, size_t n) {
-  while (n > 0) {
-    ssize_t w = ::write(fd, data, n);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<size_t>(w);
-  }
-  return true;
-}
-
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 // ---- Digests on the shared metrics bucket layouts ----------------------
 
@@ -97,9 +78,9 @@ void DigestMerge(Histogram::Snapshot& into, const Histogram::Snapshot& from,
 std::string DigestJson(const Histogram::Snapshot& d) {
   std::string out = "{\"count\":" + std::to_string(d.count);
   if (d.count > 0) {
-    out += ",\"sum\":" + FormatDouble(d.sum);
-    out += ",\"min\":" + FormatDouble(d.min);
-    out += ",\"max\":" + FormatDouble(d.max);
+    out += ",\"sum\":" + JsonNumber(d.sum);
+    out += ",\"min\":" + JsonNumber(d.min);
+    out += ",\"max\":" + JsonNumber(d.max);
     out += ",\"counts\":[";
     for (size_t i = 0; i < d.counts.size(); ++i) {
       if (i > 0) out += ",";
@@ -134,68 +115,18 @@ Histogram::Snapshot DigestFromJson(const JsonValue* v,
 
 // ---- Line serialization ------------------------------------------------
 
-std::string RunLineJson(const RunObservation& run) {
-  std::string out = "{\"v\":" + std::to_string(kHistoryFormatVersion);
-  out += ",\"type\":\"run\"";
-  // 64-bit hash travels as a decimal string (JSON numbers are doubles).
-  out += ",\"hash\":\"" + std::to_string(run.query_hash) + "\"";
-  if (!run.query.empty()) {
-    out += ",\"query\":\"" + JsonEscape(run.query) + "\"";
-  }
-  out += ",\"ok\":";
-  out += run.ok ? "true" : "false";
-  if (!run.aborted_limit.empty()) {
-    out += ",\"aborted\":\"" + JsonEscape(run.aborted_limit) + "\"";
-  }
-  out += ",\"wall_ns\":" + std::to_string(run.wall_ns);
-  out += ",\"peak_bytes\":" + std::to_string(run.peak_bytes);
-  out += ",\"rows_out\":" + std::to_string(run.rows_out);
-  if (run.par_workers > 0) {
-    out += ",\"par_eff\":" + FormatDouble(run.parallel_efficiency);
-    out += ",\"par_workers\":" + std::to_string(run.par_workers);
-  }
-  out += ",\"ops\":[";
-  for (size_t i = 0; i < run.ops.size(); ++i) {
-    const RunObservation::Op& op = run.ops[i];
-    if (i > 0) out += ",";
-    out += "{\"path\":\"" + JsonEscape(op.path) + "\"";
-    out += ",\"op\":\"" + JsonEscape(op.op) + "\"";
-    out += ",\"est\":" + FormatDouble(op.est_rows);
-    out += ",\"actual\":" + std::to_string(op.actual_rows);
-    out += ",\"factor\":" + FormatDouble(op.factor);
-    out += "}";
-  }
-  out += "]}";
-  return out;
+void KeepNewestTrend(std::vector<uint64_t>& trend) {
+  if (trend.size() <= kHistoryTrendLen) return;
+  trend.erase(trend.begin(),
+              trend.end() - static_cast<long>(kHistoryTrendLen));
 }
 
-RunObservation RunFromJson(const JsonValue& v) {
-  RunObservation run;
-  run.query_hash =
-      std::strtoull(v.StringOr("hash", "0").c_str(), nullptr, 10);
-  run.query = v.StringOr("query", "");
-  run.ok = v.BoolOr("ok", true);
-  run.aborted_limit = v.StringOr("aborted", "");
-  run.wall_ns = static_cast<uint64_t>(v.NumberOr("wall_ns", 0));
-  run.peak_bytes = static_cast<uint64_t>(v.NumberOr("peak_bytes", 0));
-  run.rows_out = static_cast<uint64_t>(v.NumberOr("rows_out", 0));
-  run.parallel_efficiency = v.NumberOr("par_eff", 0);
-  run.par_workers = static_cast<uint32_t>(v.NumberOr("par_workers", 0));
-  if (const JsonValue* ops = v.Find("ops");
-      ops != nullptr && ops->is_array()) {
-    run.ops.reserve(ops->array.size());
-    for (const JsonValue& o : ops->array) {
-      if (!o.is_object()) continue;
-      RunObservation::Op op;
-      op.path = o.StringOr("path", "");
-      op.op = o.StringOr("op", "");
-      op.est_rows = o.NumberOr("est", -1);
-      op.actual_rows = static_cast<uint64_t>(o.NumberOr("actual", 0));
-      op.factor = o.NumberOr("factor", 1);
-      run.ops.push_back(std::move(op));
-    }
-  }
-  return run;
+std::string HistoryRunLine(const RunRecord& run) {
+  std::string out =
+      "{\"v\":" + std::to_string(kHistoryFormatVersion) + ",\"type\":\"run\",";
+  AppendRunRecordJson(run, out);
+  out += "}\n";
+  return out;
 }
 
 std::string AggLineJson(const QueryHistory& h, uint64_t generation) {
@@ -208,10 +139,10 @@ std::string AggLineJson(const QueryHistory& h, uint64_t generation) {
   out += ",\"aborts\":" + std::to_string(h.aborts);
   out += ",\"errors\":" + std::to_string(h.errors);
   out += ",\"rows_out_last\":" + std::to_string(h.rows_out_last);
-  out += ",\"par_eff_sum\":" + FormatDouble(h.par_eff_sum);
+  out += ",\"par_eff_sum\":" + JsonNumber(h.par_eff_sum);
   out += ",\"par_runs\":" + std::to_string(h.par_runs);
-  out += ",\"factor_worst\":" + FormatDouble(h.factor_worst);
-  out += ",\"factor_sum\":" + FormatDouble(h.factor_sum);
+  out += ",\"factor_worst\":" + JsonNumber(h.factor_worst);
+  out += ",\"factor_sum\":" + JsonNumber(h.factor_sum);
   out += ",\"factor_count\":" + std::to_string(h.factor_count);
   out += ",\"wall\":" + DigestJson(h.wall);
   out += ",\"peak\":" + DigestJson(h.peak);
@@ -228,11 +159,11 @@ std::string AggLineJson(const QueryHistory& h, uint64_t generation) {
     out += "{\"path\":\"" + JsonEscape(path) + "\"";
     out += ",\"op\":\"" + JsonEscape(op.op) + "\"";
     out += ",\"runs\":" + std::to_string(op.runs);
-    out += ",\"est_sum\":" + FormatDouble(op.est_sum);
-    out += ",\"actual_sum\":" + FormatDouble(op.actual_sum);
+    out += ",\"est_sum\":" + JsonNumber(op.est_sum);
+    out += ",\"actual_sum\":" + JsonNumber(op.actual_sum);
     out += ",\"actual_last\":" + std::to_string(op.actual_last);
-    out += ",\"factor_sum\":" + FormatDouble(op.factor_sum);
-    out += ",\"factor_worst\":" + FormatDouble(op.factor_worst);
+    out += ",\"factor_sum\":" + JsonNumber(op.factor_sum);
+    out += ",\"factor_worst\":" + JsonNumber(op.factor_worst);
     out += "}";
   }
   out += "]}";
@@ -261,11 +192,7 @@ QueryHistory AggFromJson(const JsonValue& v) {
         h.wall_trend.push_back(static_cast<uint64_t>(t.number));
       }
     }
-    if (h.wall_trend.size() > kHistoryTrendLen) {
-      h.wall_trend.erase(h.wall_trend.begin(),
-                         h.wall_trend.end() -
-                             static_cast<long>(kHistoryTrendLen));
-    }
+    KeepNewestTrend(h.wall_trend);
   }
   if (const JsonValue* ops = v.Find("ops");
       ops != nullptr && ops->is_array()) {
@@ -307,11 +234,7 @@ void MergeHistory(QueryHistory& into, QueryHistory&& from) {
   DigestMerge(into.wall, from.wall, DefaultLatencyBucketsNs());
   DigestMerge(into.peak, from.peak, DefaultSizeBucketsBytes());
   for (uint64_t t : from.wall_trend) into.wall_trend.push_back(t);
-  if (into.wall_trend.size() > kHistoryTrendLen) {
-    into.wall_trend.erase(into.wall_trend.begin(),
-                          into.wall_trend.end() -
-                              static_cast<long>(kHistoryTrendLen));
-  }
+  KeepNewestTrend(into.wall_trend);
   for (auto& [path, op] : from.ops) {
     OpHistory& slot = into.ops[path];
     if (slot.runs == 0) {
@@ -361,8 +284,8 @@ LoadedFile LoadHistoryText(std::string_view text) {
       loaded.total_runs += h.runs;
       MergeHistory(loaded.entries[h.query_hash], std::move(h));
     } else if (type == "run") {
-      RunObservation run = RunFromJson(*json);
-      FoldRunObservation(loaded.entries[run.query_hash], run);
+      RunRecord run = RunRecordFromJson(*json);
+      FoldRunRecord(loaded.entries[run.query_hash], run);
       ++loaded.total_runs;
     } else {
       ++loaded.bad_lines;
@@ -394,7 +317,7 @@ const std::vector<double>& DefaultSizeBucketsBytes() {
   return *bounds;
 }
 
-void FoldRunObservation(QueryHistory& agg, const RunObservation& run) {
+void FoldRunRecord(QueryHistory& agg, const RunRecord& run) {
   agg.query_hash = run.query_hash;
   if (!run.query.empty()) agg.query = run.query;
   ++agg.runs;
@@ -415,10 +338,8 @@ void FoldRunObservation(QueryHistory& agg, const RunObservation& run) {
     ++agg.par_runs;
   }
   agg.wall_trend.push_back(run.wall_ns);
-  if (agg.wall_trend.size() > kHistoryTrendLen) {
-    agg.wall_trend.erase(agg.wall_trend.begin());
-  }
-  for (const RunObservation::Op& op : run.ops) {
+  KeepNewestTrend(agg.wall_trend);
+  for (const RunRecord::Op& op : run.ops) {
     OpHistory& slot = agg.ops[op.path];
     slot.op = op.op;
     ++slot.runs;
@@ -442,11 +363,9 @@ std::string ResolveHistoryPath(const std::string& dir_or_file) {
 }
 
 StatusOr<HistoryScan> ReadHistoryFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return InvalidArgumentError("cannot open history store: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  LoadedFile loaded = LoadHistoryText(buf.str());
+  std::optional<std::string> text = ReadFileText(path);
+  if (!text) return InvalidArgumentError("cannot open history store: " + path);
+  LoadedFile loaded = LoadHistoryText(*text);
   HistoryScan scan;
   scan.entries = SortedEntries(loaded.entries);
   scan.bad_lines = loaded.bad_lines;
@@ -475,17 +394,13 @@ StatusOr<std::unique_ptr<HistoryStore>> HistoryStore::Open(
   std::unique_ptr<HistoryStore> store(new HistoryStore());
   store->path_ = dir + "/" + kHistoryFileName;
   store->options_ = options;
-  {
-    std::ifstream in(store->path_, std::ios::binary);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      LoadedFile loaded = LoadHistoryText(buf.str());
-      store->entries_ = std::move(loaded.entries);
-      store->generation_ = loaded.generation;
-      store->bad_lines_ = loaded.bad_lines;
-      store->total_runs_ = loaded.total_runs;
-    }
+  std::optional<std::string> text = ReadFileText(store->path_);
+  if (text) {
+    LoadedFile loaded = LoadHistoryText(*text);
+    store->entries_ = std::move(loaded.entries);
+    store->generation_ = loaded.generation;
+    store->bad_lines_ = loaded.bad_lines;
+    store->total_runs_ = loaded.total_runs;
   }
   int fd = ::open(store->path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) {
@@ -498,13 +413,9 @@ StatusOr<std::unique_ptr<HistoryStore>> HistoryStore::Open(
   store->compact_floor_ = store->file_bytes_;
   // Repair a tail torn by a crash mid-write: without the newline the next
   // append would merge into the partial line and corrupt two records.
-  if (store->file_bytes_ > 0) {
-    std::ifstream tail(store->path_, std::ios::binary);
-    tail.seekg(-1, std::ios::end);
-    char last = '\n';
-    if (tail.get(last) && last != '\n') {
-      if (WriteAll(fd, "\n", 1)) ++store->file_bytes_;
-    }
+  if (text && !text->empty() && text->back() != '\n' &&
+      RawWriteAll(fd, "\n", 1)) {
+    ++store->file_bytes_;
   }
   HistoryMetrics::Get().queries.Set(
       static_cast<int64_t>(store->entries_.size()));
@@ -515,13 +426,12 @@ HistoryStore::~HistoryStore() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void HistoryStore::RecordRun(const RunObservation& run) {
-  std::string line = RunLineJson(run);
-  line += '\n';
+void HistoryStore::RecordRun(const RunRecord& run) {
+  std::string line = HistoryRunLine(run);
   std::lock_guard<std::mutex> lock(mu_);
-  FoldRunObservation(entries_[run.query_hash], run);
+  FoldRunRecord(entries_[run.query_hash], run);
   ++total_runs_;
-  if (fd_ >= 0 && WriteAll(fd_, line.data(), line.size())) {
+  if (fd_ >= 0 && RawWriteAll(fd_, line.data(), line.size())) {
     file_bytes_ += line.size();
   }
   HistoryMetrics::Get().runs_recorded.Add();
@@ -543,7 +453,7 @@ void HistoryStore::CompactLocked() {
   for (const QueryHistory& h : SortedEntries(entries_)) {
     std::string line = AggLineJson(h, next_gen);
     line += '\n';
-    if (!WriteAll(tmp_fd, line.data(), line.size())) {
+    if (!RawWriteAll(tmp_fd, line.data(), line.size())) {
       ok = false;
       break;
     }

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <map>
-#include <sstream>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -55,9 +53,14 @@ QueryLogScan ParseQueryLogText(std::string_view text) {
         pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
     pos = nl == std::string_view::npos ? text.size() : nl + 1;
     if (line.empty()) continue;
-    auto record = ParseQueryLogRecord(line);
-    if (record.ok()) {
-      scan.records.push_back(std::move(record).value());
+    auto json = ParseJson(line);
+    std::string event = json.ok() && json->is_object()
+                            ? json->StringOr("event", "")
+                            : std::string();
+    if (event == "compile") {
+      scan.compiles.push_back(QueryLogRecordFromJson(*json));
+    } else if (event == "run") {
+      scan.runs.push_back(RunRecordFromJson(*json));
     } else {
       ++scan.bad_lines;
     }
@@ -66,43 +69,33 @@ QueryLogScan ParseQueryLogText(std::string_view text) {
 }
 
 StatusOr<QueryLogScan> ReadQueryLog(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return InvalidArgumentError("cannot open query log: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseQueryLogText(buf.str());
+  std::optional<std::string> text = ReadFileText(path);
+  if (!text) return InvalidArgumentError("cannot open query log: " + path);
+  return ParseQueryLogText(*text);
 }
 
 StatusOr<QueryLogScan> ReadQueryLogWithRotation(const std::string& path) {
-  auto current = ReadQueryLog(path);
-  if (!current.ok()) return current.status();
-  std::ifstream rotated(path + ".1", std::ios::binary);
-  if (!rotated) return current;  // no rotated segment: just the live file
-  std::ostringstream buf;
-  buf << rotated.rdbuf();
-  QueryLogScan scan = ParseQueryLogText(buf.str());  // oldest records first
-  scan.records.insert(scan.records.end(),
-                      std::make_move_iterator(current->records.begin()),
-                      std::make_move_iterator(current->records.end()));
-  scan.bad_lines += current->bad_lines;
-  return scan;
+  std::optional<std::string> live = ReadFileText(path);
+  if (!live) return InvalidArgumentError("cannot open query log: " + path);
+  // The rotated segment holds the older records. The separating newline
+  // keeps a line it ends mid-way from swallowing the live file's first.
+  std::optional<std::string> rotated = ReadFileText(path + ".1");
+  return ParseQueryLogText(rotated ? *rotated + "\n" + *live : *live);
 }
 
 std::string RenderTopSlowest(const QueryLogScan& scan, size_t k) {
-  std::vector<const QueryLogRecord*> runs;
-  for (const QueryLogRecord& r : scan.records) {
-    if (r.event == "run") runs.push_back(&r);
-  }
+  std::vector<const RunRecord*> runs;
+  for (const RunRecord& r : scan.runs) runs.push_back(&r);
   // Ties break on query hash so the listing is stable across qsorts.
   std::sort(runs.begin(), runs.end(),
-            [](const QueryLogRecord* a, const QueryLogRecord* b) {
+            [](const RunRecord* a, const RunRecord* b) {
               if (a->wall_ns != b->wall_ns) return a->wall_ns > b->wall_ns;
               return a->query_hash < b->query_hash;
             });
   if (runs.size() > k) runs.resize(k);
   std::string out = "top " + std::to_string(runs.size()) + " slowest runs\n";
   for (size_t i = 0; i < runs.size(); ++i) {
-    const QueryLogRecord& r = *runs[i];
+    const RunRecord& r = *runs[i];
     out += "  " + std::to_string(i + 1) + ". " + FormatMs(r.wall_ns);
     out += " rows=" + std::to_string(r.rows_out);
     if (!r.ok) {
@@ -118,13 +111,10 @@ std::string RenderTopSlowest(const QueryLogScan& scan, size_t k) {
 }
 
 std::string RenderAborts(const QueryLogScan& scan) {
-  size_t runs = 0;
   size_t plain_errors = 0;
   // limit -> (count, example query)
   std::map<std::string, std::pair<size_t, std::string>> by_limit;
-  for (const QueryLogRecord& r : scan.records) {
-    if (r.event != "run") continue;
-    ++runs;
+  for (const RunRecord& r : scan.runs) {
     if (r.ok) continue;
     if (r.aborted_limit.empty()) {
       ++plain_errors;
@@ -137,7 +127,7 @@ std::string RenderAborts(const QueryLogScan& scan) {
   size_t aborts = 0;
   for (const auto& [limit, slot] : by_limit) aborts += slot.first;
   std::string out = "aborts: " + std::to_string(aborts) + " of " +
-                    std::to_string(runs) + " runs\n";
+                    std::to_string(scan.runs.size()) + " runs\n";
   std::vector<std::pair<std::string, std::pair<size_t, std::string>>> sorted(
       by_limit.begin(), by_limit.end());
   std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
@@ -162,8 +152,8 @@ std::string RenderMisestimates(const QueryLogScan& scan, size_t k) {
     double sum = 0;
   };
   std::map<std::string, Agg> by_op;
-  for (const QueryLogRecord& r : scan.records) {
-    if (r.event != "run" || r.misestimate_factor <= 0) continue;
+  for (const RunRecord& r : scan.runs) {
+    if (r.misestimate_factor <= 0) continue;
     Agg& a = by_op[r.misestimate_op];
     ++a.count;
     a.sum += r.misestimate_factor;
@@ -186,8 +176,6 @@ std::string RenderMisestimates(const QueryLogScan& scan, size_t k) {
 }
 
 std::string RenderLogSummary(const QueryLogScan& scan) {
-  size_t compiles = 0;
-  size_t runs = 0;
   size_t run_ok = 0;
   size_t run_errors = 0;
   size_t run_aborts = 0;
@@ -196,13 +184,8 @@ std::string RenderLogSummary(const QueryLogScan& scan) {
   uint64_t wall_max = 0;
   uint64_t rows_total = 0;
   double eff_sum = 0;
-  for (const QueryLogRecord& r : scan.records) {
-    if (r.event == "compile") {
-      ++compiles;
-      continue;
-    }
-    if (r.event != "run") continue;
-    ++runs;
+  const size_t runs = scan.runs.size();
+  for (const RunRecord& r : scan.runs) {
     wall_total += r.wall_ns;
     wall_max = std::max(wall_max, r.wall_ns);
     rows_total += r.rows_out;
@@ -218,8 +201,9 @@ std::string RenderLogSummary(const QueryLogScan& scan) {
       eff_sum += r.parallel_efficiency;
     }
   }
-  std::string out = "records: " + std::to_string(scan.records.size()) +
-                    " (compile=" + std::to_string(compiles) +
+  std::string out = "records: " +
+                    std::to_string(scan.compiles.size() + runs) +
+                    " (compile=" + std::to_string(scan.compiles.size()) +
                     " run=" + std::to_string(runs) +
                     ", bad lines=" + std::to_string(scan.bad_lines) + ")\n";
   out += "runs: ok=" + std::to_string(run_ok) +
@@ -414,10 +398,7 @@ StatusOr<PostmortemBundle> ParsePostmortemBundle(std::string_view json) {
   PostmortemBundle bundle;
   bundle.reason = doc->StringOr("reason", "");
   bundle.signal_name = doc->StringOr("signal_name", "");
-  bundle.query = doc->StringOr("query", "");
-  bundle.query_hash = doc->StringOr("query_hash", "");
-  bundle.error = doc->StringOr("error", "");
-  bundle.aborted_limit = doc->StringOr("aborted_limit", "");
+  bundle.run = RunRecordFromJson(*doc);
   if (const JsonValue* v = doc->Find("profile")) bundle.profile = *v;
   if (const JsonValue* v = doc->Find("metrics")) bundle.metrics = *v;
   if (const JsonValue* v = doc->Find("pool")) bundle.pool = *v;
@@ -439,11 +420,9 @@ StatusOr<PostmortemBundle> ParsePostmortemBundle(std::string_view json) {
 }
 
 StatusOr<PostmortemBundle> ReadPostmortemBundle(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return InvalidArgumentError("cannot open bundle: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParsePostmortemBundle(buf.str());
+  std::optional<std::string> text = ReadFileText(path);
+  if (!text) return InvalidArgumentError("cannot open bundle: " + path);
+  return ParsePostmortemBundle(*text);
 }
 
 std::string RenderBundle(const PostmortemBundle& bundle) {
@@ -451,15 +430,14 @@ std::string RenderBundle(const PostmortemBundle& bundle) {
   if (!bundle.signal_name.empty()) {
     out += "signal: " + bundle.signal_name + "\n";
   }
-  if (!bundle.aborted_limit.empty()) {
-    out += "aborted_limit: " + bundle.aborted_limit + "\n";
+  const RunRecord& run = bundle.run;
+  if (!run.aborted_limit.empty()) {
+    out += "aborted_limit: " + run.aborted_limit + "\n";
   }
-  if (!bundle.error.empty()) out += "error: " + bundle.error + "\n";
-  if (!bundle.query_hash.empty()) {
-    out += "query_hash: " + bundle.query_hash + "\n";
-  }
-  if (!bundle.query.empty()) {
-    out += "query: " + ClipQuery(bundle.query, 200) + "\n";
+  if (!run.error.empty()) out += "error: " + run.error + "\n";
+  out += "query_hash: " + std::to_string(run.query_hash) + "\n";
+  if (!run.query.empty()) {
+    out += "query: " + ClipQuery(run.query, 200) + "\n";
   }
   std::map<std::string, size_t> by_kind;
   for (const BundleEvent& e : bundle.events) ++by_kind[e.kind];

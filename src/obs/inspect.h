@@ -15,13 +15,16 @@
 #include "src/obs/history.h"
 #include "src/obs/json.h"
 #include "src/obs/query_log.h"
+#include "src/obs/run_record.h"
 
 namespace emcalc::obs {
 
-// A parsed query log. Unparseable lines are counted, not fatal — a log cut
-// off mid-line by a crash must still analyze.
+// A parsed query log, split by event in file order. Unparseable lines
+// (and lines of an unknown event) are counted, not fatal — a log cut off
+// mid-line by a crash must still analyze.
 struct QueryLogScan {
-  std::vector<QueryLogRecord> records;
+  std::vector<QueryLogRecord> compiles;
+  std::vector<RunRecord> runs;
   size_t bad_lines = 0;
 };
 
@@ -74,16 +77,15 @@ struct BundleEvent {
   std::string name;
 };
 
-// A parsed postmortem bundle. `profile` / `metrics` / `pool` hold the
-// embedded sub-documents verbatim (kind kNull when absent) so callers can
-// drill in without re-reading the file.
+// A parsed postmortem bundle. `run` is read with the one run-record
+// parser, so normal-path bundles (the full record) and crash bundles
+// (query_hash and query only) parse alike. `profile` / `metrics` / `pool`
+// hold the embedded sub-documents verbatim (kind kNull when absent) so
+// callers can drill in without re-reading the file.
 struct PostmortemBundle {
   std::string reason;  // "governor_abort" | "run_error" | "signal" | ...
   std::string signal_name;
-  std::string query;
-  std::string query_hash;
-  std::string error;
-  std::string aborted_limit;
+  RunRecord run;
   JsonValue profile;
   JsonValue metrics;
   JsonValue pool;

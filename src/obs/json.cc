@@ -2,7 +2,10 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 namespace emcalc::obs {
 
@@ -27,6 +30,13 @@ std::string JsonEscape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, ec == std::errc() ? end : buf);
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
@@ -254,6 +264,14 @@ StatusOr<JsonValue> ParseJson(std::string_view text) {
   parser.SkipSpace();
   if (!parser.AtEnd()) return parser.Err("trailing content");
   return value;
+}
+
+std::optional<std::string> ReadFileText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 }  // namespace emcalc::obs

@@ -7,6 +7,7 @@
 #ifndef EMCALC_OBS_JSON_H_
 #define EMCALC_OBS_JSON_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,6 +20,10 @@ namespace emcalc::obs {
 // Escapes `s` for inclusion inside a JSON string literal (quotes not
 // included). Control characters become \uXXXX.
 std::string JsonEscape(std::string_view s);
+
+// A JSON number literal for `v`: the shortest text that parses back to the
+// same double; non-finite values become null.
+std::string JsonNumber(double v);
 
 // A parsed JSON document. Object member order is preserved.
 struct JsonValue {
@@ -47,6 +52,10 @@ struct JsonValue {
 
 // Parses one JSON document; trailing non-whitespace is an error.
 StatusOr<JsonValue> ParseJson(std::string_view text);
+
+// The whole file at `path` (for the JSON-Lines and bundle readers);
+// nullopt when it cannot be opened.
+std::optional<std::string> ReadFileText(const std::string& path);
 
 }  // namespace emcalc::obs
 

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -19,6 +18,7 @@
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/query_log.h"
+#include "src/obs/raw_write.h"
 
 namespace emcalc::obs {
 
@@ -44,44 +44,6 @@ std::atomic<uint64_t> g_query_hash{0};
 std::atomic<uint64_t> g_bundle_seq{0};
 std::atomic<uint64_t> g_bundles_written{0};
 
-// ---- async-signal-safe writers (write(2) + stack buffers only) ----
-
-void RawWrite(int fd, const char* data, size_t n) {
-  while (n > 0) {
-    ssize_t w = ::write(fd, data, n);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      return;
-    }
-    data += w;
-    n -= static_cast<size_t>(w);
-  }
-}
-
-void RawWriteStr(int fd, const char* s) { RawWrite(fd, s, std::strlen(s)); }
-
-void RawWriteU64(int fd, uint64_t v) {
-  char buf[24];
-  char* p = buf + sizeof(buf);
-  do {
-    *--p = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  RawWrite(fd, p, static_cast<size_t>(buf + sizeof(buf) - p));
-}
-
-// Characters that would need JSON escaping are replaced, not escaped, to
-// keep the handler trivial; postmortem text is for humans and inspect,
-// which tolerates the substitution.
-void RawWriteSanitized(int fd, const char* s, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    char c = s[i];
-    if (c == '"' || c == '\\') c = '\'';
-    if (static_cast<unsigned char>(c) < 0x20) c = ' ';
-    RawWrite(fd, &c, 1);
-  }
-}
-
 const char* SignalName(int sig) {
   switch (sig) {
     case SIGSEGV: return "SIGSEGV";
@@ -104,16 +66,7 @@ void CrashHandler(int sig) {
     const char prefix[] = "/postmortem-crash-";
     std::memcpy(path + off, prefix, sizeof(prefix) - 1);
     off += sizeof(prefix) - 1;
-    uint64_t pid = static_cast<uint64_t>(::getpid());
-    char digits[24];
-    char* p = digits + sizeof(digits);
-    do {
-      *--p = static_cast<char>('0' + pid % 10);
-      pid /= 10;
-    } while (pid != 0);
-    size_t ndigits = static_cast<size_t>(digits + sizeof(digits) - p);
-    std::memcpy(path + off, p, ndigits);
-    off += ndigits;
+    off += FormatU64(static_cast<uint64_t>(::getpid()), path + off);
     const char suffix[] = ".json";
     std::memcpy(path + off, suffix, sizeof(suffix));  // includes the NUL
     int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -124,7 +77,7 @@ void CrashHandler(int sig) {
       RawWriteStr(fd, SignalName(sig));
       RawWriteStr(fd, "\",\"query_hash\":\"");
       RawWriteU64(fd, g_query_hash.load(std::memory_order_relaxed));
-      RawWriteStr(fd, "\"");
+      RawWriteStr(fd, "\",\"ok\":false");
       size_t qlen = std::min(g_query_len.load(std::memory_order_acquire),
                              kQuerySlateSize);
       if (qlen > 0) {
@@ -216,7 +169,9 @@ void ClearCurrentQuery() {
   g_query_lock.clear(std::memory_order_release);
 }
 
-StatusOr<std::string> WritePostmortem(const PostmortemInfo& info) {
+StatusOr<std::string> WritePostmortem(std::string_view reason,
+                                      const RunRecord& run,
+                                      std::string_view profile_json) {
   std::string dir = PostmortemDir();
   if (dir.empty()) {
     return InvalidArgumentError(
@@ -227,18 +182,12 @@ StatusOr<std::string> WritePostmortem(const PostmortemInfo& info) {
                      std::to_string(static_cast<uint64_t>(::getpid())) + "-" +
                      std::to_string(seq) + ".json";
 
-  std::string out = "{\"schema\":1,\"reason\":\"" + JsonEscape(info.reason);
-  out += "\",\"query_hash\":\"" + std::to_string(info.query_hash) + "\"";
-  if (!info.query.empty()) {
-    out += ",\"query\":\"" + JsonEscape(info.query) + "\"";
+  std::string out = "{\"schema\":1,\"reason\":\"" + JsonEscape(reason) + "\",";
+  AppendRunRecordJson(run, out);
+  if (!profile_json.empty()) {
+    out += ",\"profile\":";
+    out += profile_json;
   }
-  if (!info.error.empty()) {
-    out += ",\"error\":\"" + JsonEscape(info.error) + "\"";
-  }
-  if (!info.aborted_limit.empty()) {
-    out += ",\"aborted_limit\":\"" + JsonEscape(info.aborted_limit) + "\"";
-  }
-  if (!info.profile_json.empty()) out += ",\"profile\":" + info.profile_json;
   out += ",\"metrics\":" + MetricsRegistry::Instance().JsonSnapshot();
   out += ",\"pool\":" + ThreadPool::GlobalTelemetryJson();
   out += ",\"flight_recorder\":" + FlightEventsToJson(DrainFlightRecorder());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 
 #include "src/base/check.h"
@@ -123,7 +124,7 @@ void FlatRelation::RechargeTo(int64_t now) const {
 
 FlatRelation::FlatRelation(const FlatRelation& other)
     : arity_(other.arity_),
-      dirty_(other.dirty_),
+      dirty_(other.dirty_.load(std::memory_order_relaxed)),
       rows_(other.rows_),
       data_(other.data_) {
   CountCopy(rows_);
@@ -133,7 +134,8 @@ FlatRelation::FlatRelation(const FlatRelation& other)
 FlatRelation& FlatRelation::operator=(const FlatRelation& other) {
   if (this == &other) return *this;
   arity_ = other.arity_;
-  dirty_ = other.dirty_;
+  dirty_.store(other.dirty_.load(std::memory_order_relaxed),
+               std::memory_order_relaxed);
   rows_ = other.rows_;
   data_ = other.data_;
   CountCopy(rows_);
@@ -149,7 +151,7 @@ Status FlatRelation::TryInsert(const Tuple& t) {
   }
   data_.insert(data_.end(), t.begin(), t.end());
   ++rows_;
-  dirty_ = true;
+  dirty_.store(true, std::memory_order_relaxed);
   SyncCharge();
   return Status::Ok();
 }
@@ -159,7 +161,7 @@ void FlatRelation::Insert(TupleRef t) {
                    "tuple arity %zu != relation arity %d", t.size(), arity_);
   data_.insert(data_.end(), t.begin(), t.end());
   ++rows_;
-  dirty_ = true;
+  dirty_.store(true, std::memory_order_relaxed);
   SyncCharge();
 }
 
@@ -168,13 +170,23 @@ void FlatRelation::AppendAll(const FlatRelation& other) {
   if (other.rows_ == 0) return;
   data_.insert(data_.end(), other.data_.begin(), other.data_.end());
   rows_ += other.rows_;
-  dirty_ = true;
+  dirty_.store(true, std::memory_order_relaxed);
   SyncCharge();
 }
 
-void FlatRelation::Normalize() const {
-  if (!dirty_) return;
-  dirty_ = false;
+void FlatRelation::NormalizeLocked() const {
+  // Striped locks: a relation is only locked while it is dirty, so the
+  // stripes are idle in steady state and need not be per-relation.
+  static std::mutex stripes[64];
+  std::lock_guard<std::mutex> lock(
+      stripes[(reinterpret_cast<uintptr_t>(this) >> 6) % 64]);
+  // Another reader may have normalized while this one waited.
+  if (!dirty_.load(std::memory_order_relaxed)) return;
+  SortDedupe();
+  dirty_.store(false, std::memory_order_release);
+}
+
+void FlatRelation::SortDedupe() const {
   const size_t a = static_cast<size_t>(arity_);
   if (a == 0) {
     // The only tuple is the empty tuple; dedupe to at most one row.

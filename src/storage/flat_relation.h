@@ -6,14 +6,15 @@
 // backing array.
 //
 // Set semantics match the original vector-of-tuples Relation exactly:
-// tuples are kept sorted and duplicate-free (normalized lazily on first
-// read), union/difference/equality/ordering are defined on the normalized
+// tuples are kept sorted and duplicate-free (normalized lazily, and
+// thread-safely, on first read), union/difference/equality/ordering are defined on the normalized
 // form, and the move-aware set operations reuse this relation's storage.
 // tests/storage_test.cc checks agreement against the retained
 // LegacyRelation oracle on random inputs.
 #ifndef EMCALC_STORAGE_FLAT_RELATION_H_
 #define EMCALC_STORAGE_FLAT_RELATION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -76,11 +77,11 @@ class FlatRelation {
   FlatRelation& operator=(const FlatRelation& other);
   FlatRelation(FlatRelation&& other) noexcept
       : arity_(other.arity_),
-        dirty_(other.dirty_),
+        dirty_(other.dirty_.load(std::memory_order_relaxed)),
         rows_(other.rows_),
         data_(std::move(other.data_)),
         charged_bytes_(other.charged_bytes_) {
-    other.dirty_ = false;
+    other.dirty_.store(false, std::memory_order_relaxed);
     other.rows_ = 0;
     other.charged_bytes_ = 0;
     other.SyncCharge();  // moved-from capacity is unspecified; reconcile
@@ -89,11 +90,12 @@ class FlatRelation {
     if (this == &other) return *this;
     RechargeTo(0);  // our buffer is about to be freed by the vector move
     arity_ = other.arity_;
-    dirty_ = other.dirty_;
+    dirty_.store(other.dirty_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
     rows_ = other.rows_;
     data_ = std::move(other.data_);
     charged_bytes_ = other.charged_bytes_;
-    other.dirty_ = false;
+    other.dirty_.store(false, std::memory_order_relaxed);
     other.rows_ = 0;
     other.charged_bytes_ = 0;
     other.SyncCharge();
@@ -179,7 +181,7 @@ class FlatRelation {
   void AppendRow(const Value* values) {
     data_.insert(data_.end(), values, values + arity_);
     ++rows_;
-    dirty_ = true;
+    dirty_.store(true, std::memory_order_relaxed);
     SyncCharge();
   }
 
@@ -193,7 +195,7 @@ class FlatRelation {
                    values + n * static_cast<size_t>(arity_));
     }
     rows_ += n;
-    dirty_ = true;
+    dirty_.store(true, std::memory_order_relaxed);
     SyncCharge();
   }
 
@@ -229,10 +231,14 @@ class FlatRelation {
   // Multi-line "(1, 'a')\n(2, 'b')" rendering, for tests and examples.
   std::string ToString() const;
 
-  // Sorts and dedupes now (no-op when already normalized). Execution
-  // calls this before sharing a relation across worker threads: the lazy
-  // normalization mutates, so it must happen-before the parallel region.
-  void Normalize() const;
+  // Sorts and dedupes now (no-op when already normalized). Thread-safe:
+  // concurrent const readers of one relation (queries sharing a Database)
+  // may all trigger it; the first sorts under a lock and the rest wait for
+  // it, while a clean relation costs one acquire load. Mutation (and
+  // copying a relation that is still dirty) stays single-threaded.
+  void Normalize() const {
+    if (dirty_.load(std::memory_order_acquire)) NormalizeLocked();
+  }
 
   // Process-wide copy instrumentation: whole-relation copies and tuples
   // copied into new storage by relation copies and the lvalue set
@@ -251,9 +257,13 @@ class FlatRelation {
     if (now != charged_bytes_) RechargeTo(now);
   }
   void RechargeTo(int64_t now) const;
+  void NormalizeLocked() const;
+  void SortDedupe() const;  // the sort itself; caller holds the lock
 
   int arity_;
-  mutable bool dirty_ = false;
+  // Unsorted appends pending: set by mutators, cleared (release) once the
+  // sort has finished, so a reader that sees it clear sees sorted storage.
+  mutable std::atomic<bool> dirty_{false};
   mutable size_t rows_ = 0;
   mutable std::vector<Value> data_;  // arity-strided, rows_ * arity_ cells
   mutable int64_t charged_bytes_ = 0;

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -24,8 +25,13 @@
 #include "src/exec/feedback.h"
 #include "src/exec/lower.h"
 #include "src/obs/history.h"
+#include "src/obs/inspect.h"
 #include "src/obs/query_log.h"
 #include "src/translate/pipeline.h"
+
+#ifndef EMCALC_TESTDATA_DIR
+#error "EMCALC_TESTDATA_DIR must point at tests/testdata"
+#endif
 
 namespace emcalc {
 namespace {
@@ -59,15 +65,15 @@ class ScopedHistoryStore {
   obs::HistoryStore* saved_;
 };
 
-obs::RunObservation MakeRun(uint64_t hash, uint64_t wall_ns,
-                            uint64_t actual_rows) {
-  obs::RunObservation run;
+obs::RunRecord MakeRun(uint64_t hash, uint64_t wall_ns,
+                       uint64_t actual_rows) {
+  obs::RunRecord run;
   run.query_hash = hash;
   run.query = "{x | Q" + std::to_string(hash) + "(x)}";
   run.wall_ns = wall_ns;
   run.peak_bytes = 1 << 16;
   run.rows_out = actual_rows;
-  obs::RunObservation::Op op;
+  obs::RunRecord::Op op;
   op.path = "FilterSelect/0:Scan";
   op.op = "Scan(R)";
   op.est_rows = 100;
@@ -125,6 +131,90 @@ TEST(HistoryStoreTest, RecordReloadRoundTrip) {
   EXPECT_EQ(h7->wall_trend[0], 1000u);  // oldest first
   EXPECT_EQ(h7->wall_trend[1], 3000u);
   EXPECT_GE(obs::HistoryWallPercentile(*h7, 90), 3000.0);
+}
+
+
+std::string Testdata(const std::string& name) {
+  return std::string(EMCALC_TESTDATA_DIR) + "/" + name;
+}
+
+void ExpectSameHistory(const obs::QueryHistory& a, const obs::QueryHistory& b) {
+  SCOPED_TRACE("query hash " + std::to_string(a.query_hash));
+  EXPECT_EQ(a.query_hash, b.query_hash);
+  EXPECT_EQ(a.query, b.query);
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_EQ(a.aborts, b.aborts);
+  EXPECT_EQ(a.errors, b.errors);
+  EXPECT_EQ(a.rows_out_last, b.rows_out_last);
+  EXPECT_DOUBLE_EQ(a.par_eff_sum, b.par_eff_sum);
+  EXPECT_EQ(a.par_runs, b.par_runs);
+  EXPECT_DOUBLE_EQ(a.factor_worst, b.factor_worst);
+  EXPECT_DOUBLE_EQ(a.factor_sum, b.factor_sum);
+  EXPECT_EQ(a.factor_count, b.factor_count);
+  for (const auto* d : {&a.wall, &a.peak}) {
+    const auto& e = d == &a.wall ? b.wall : b.peak;
+    EXPECT_EQ(d->count, e.count);
+    EXPECT_DOUBLE_EQ(d->sum, e.sum);
+    EXPECT_DOUBLE_EQ(d->min, e.min);
+    EXPECT_DOUBLE_EQ(d->max, e.max);
+    EXPECT_EQ(d->counts, e.counts);
+  }
+  EXPECT_EQ(a.wall_trend, b.wall_trend);
+  ASSERT_EQ(a.ops.size(), b.ops.size());
+  for (const auto& [path, op] : a.ops) {
+    auto it = b.ops.find(path);
+    ASSERT_NE(it, b.ops.end()) << path;
+    EXPECT_EQ(op.op, it->second.op);
+    EXPECT_EQ(op.runs, it->second.runs);
+    EXPECT_DOUBLE_EQ(op.est_sum, it->second.est_sum);
+    EXPECT_DOUBLE_EQ(op.actual_sum, it->second.actual_sum);
+    EXPECT_EQ(op.actual_last, it->second.actual_last);
+    EXPECT_DOUBLE_EQ(op.factor_sum, it->second.factor_sum);
+    EXPECT_DOUBLE_EQ(op.factor_worst, it->second.factor_worst);
+  }
+}
+
+// A store written by the v1 format (agg lines plus run lines that name
+// query_hash/aborted_limit/parallel_efficiency "hash"/"aborted"/"par_eff")
+// loads to the aggregates the v1 code held in memory: the same store
+// compacted by that code (history_v1_compacted.jsonl), and its
+// `emcalc-inspect history` digest as that code rendered it.
+TEST(HistoryStoreTest, V1StoreLoadsToTheSameAggregates) {
+  auto loaded = obs::ReadHistoryFile(Testdata("history_v1.jsonl"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto expected = obs::ReadHistoryFile(Testdata("history_v1_compacted.jsonl"));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(loaded->bad_lines, 0u);
+  EXPECT_EQ(loaded->total_runs, expected->total_runs);
+  ASSERT_EQ(loaded->entries.size(), expected->entries.size());
+  for (size_t i = 0; i < loaded->entries.size(); ++i) {
+    ExpectSameHistory(loaded->entries[i], expected->entries[i]);
+  }
+  std::ifstream digest(Testdata("history_v1_digest.txt"));
+  std::string golden((std::istreambuf_iterator<char>(digest)),
+                     std::istreambuf_iterator<char>());
+  EXPECT_EQ(obs::RenderHistory(*loaded, 10), golden);
+
+  // A v1 store keeps working: new v2 run lines append beside the v1 ones
+  // and the mixed file reloads.
+  ScopedTempDir dir("hist_v1");
+  std::filesystem::copy_file(Testdata("history_v1.jsonl"),
+                             dir.path() + "/history.jsonl");
+  {
+    auto store = obs::HistoryStore::Open(dir.path());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->total_runs(), expected->total_runs);
+    (*store)->RecordRun(MakeRun(33, 2700, 0));
+  }
+  auto reopened = obs::HistoryStore::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->bad_lines(), 0u);
+  EXPECT_EQ((*reopened)->total_runs(), expected->total_runs + 1);
+  obs::HistoryScan scan = (*reopened)->Scan();
+  const obs::QueryHistory* h33 = FindHash(scan, 33);
+  ASSERT_NE(h33, nullptr);
+  EXPECT_EQ(h33->runs, 3u);
+  EXPECT_EQ(h33->aborts, 1u);  // read from the v1 "aborted" key
 }
 
 TEST(HistoryStoreTest, TruncatedTailSkippedAndRepaired) {
@@ -298,7 +388,7 @@ TEST(MisestimateFactorTest, FeedbackJsonHasNoInfinity) {
 }
 
 // The plan side (PlanOpPaths, used at lowering time) and the profile side
-// (CollectRunObservation, used at recording time) must derive identical
+// (BuildRunRecord, used at recording time) must derive identical
 // operator paths, or the feedback loop silently never matches.
 TEST(HistoryFeedbackTest, PlanAndProfilePathsAlign) {
   AstContext ctx;
@@ -324,13 +414,25 @@ TEST(HistoryFeedbackTest, PlanAndProfilePathsAlign) {
   auto answer = plan->ExecuteToRelation(db, &profile);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
 
-  obs::RunObservation run =
-      CollectRunObservation(obs::HashQueryText("q"), "q", profile);
+  obs::RunRecord run = BuildRunRecord(obs::HashQueryText("q"), "q", answer,
+                                      /*wall_ns=*/1, /*exec_threads=*/1,
+                                      &profile);
   ASSERT_FALSE(run.ops.empty());
-  for (const obs::RunObservation::Op& op : run.ops) {
+  for (const obs::RunRecord::Op& op : run.ops) {
     EXPECT_TRUE(plan_paths.count(op.path) > 0)
         << "profile path not derivable from the plan: " << op.path;
   }
+  // The record's one profile walk agrees with the standalone summaries.
+  EXPECT_EQ(run.rows_out, answer->size());
+  PlanFeedback fb = BuildPlanFeedback(profile);
+  EXPECT_EQ(run.ops.size(), fb.entries.size());
+  EXPECT_EQ(run.misestimate_factor, fb.max_factor);
+  EXPECT_EQ(run.misestimate_op, fb.worst_op);
+  size_t corrected = 0;
+  for (const PlanFeedbackEntry& e : fb.entries) {
+    if (e.est_history_runs > 0) ++corrected;
+  }
+  EXPECT_EQ(run.est_history_ops, corrected);
 }
 
 // End to end through the compiler: a warm store corrects estimates (with
@@ -354,7 +456,7 @@ TEST(HistoryFeedbackTest, WarmStoreCorrectsEstimatesKeepsAnswers) {
   ExecProfile p1;
   auto a1 = q1->RunWithProfile(db, &p1);
   ASSERT_TRUE(a1.ok()) << a1.status().ToString();
-  EXPECT_EQ(CountHistoryCorrectedOps(p1), 0u);
+  EXPECT_EQ(BuildRunRecord(0, text, a1, 0, 1, &p1).est_history_ops, 0u);
   EXPECT_GT(store->get()->total_runs(), 0u);
 
   // Warm: recompiling consults the recorded actuals.
@@ -364,7 +466,7 @@ TEST(HistoryFeedbackTest, WarmStoreCorrectsEstimatesKeepsAnswers) {
   ExecProfile p2;
   auto a2 = q2->RunWithProfile(db, &p2);
   ASSERT_TRUE(a2.ok()) << a2.status().ToString();
-  EXPECT_GT(CountHistoryCorrectedOps(p2), 0u);
+  EXPECT_GT(BuildRunRecord(0, text, a2, 0, 1, &p2).est_history_ops, 0u);
   EXPECT_TRUE(*a1 == *a2);
 
   // Corrected entries carry their provenance into the feedback report and

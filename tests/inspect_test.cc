@@ -33,7 +33,8 @@ obs::QueryLogScan SampleScan() {
 
 TEST(InspectSampleLogTest, ScanCountsRecordsAndBadLines) {
   obs::QueryLogScan scan = SampleScan();
-  EXPECT_EQ(scan.records.size(), 11u);
+  EXPECT_EQ(scan.compiles.size(), 2u);
+  EXPECT_EQ(scan.runs.size(), 9u);
   EXPECT_EQ(scan.bad_lines, 1u);  // the line clipped by the "crash"
 }
 
@@ -90,8 +91,7 @@ TEST(InspectSampleLogTest, SummaryRollsUpRunsAndWall) {
 obs::QueryLogScan GeneratedScan() {
   std::string text;
   for (int i = 0; i < 1000; ++i) {
-    obs::QueryLogRecord r;
-    r.event = "run";
+    obs::RunRecord r;
     r.query = "q" + std::to_string(i);
     r.query_hash = obs::HashQueryText(r.query);
     r.wall_ns = static_cast<uint64_t>(i + 1) * 1000;
@@ -104,14 +104,14 @@ obs::QueryLogScan GeneratedScan() {
       r.ok = false;
       r.error = "INVALID_ARGUMENT: bad";
     }
-    text += obs::QueryLogRecordToJson(r) + "\n";
+    text += obs::RunLogLineJson(r) + "\n";
   }
   return obs::ParseQueryLogText(text);
 }
 
 TEST(InspectGeneratedLogTest, TopFiveAreTheFiveSlowest) {
   obs::QueryLogScan scan = GeneratedScan();
-  ASSERT_EQ(scan.records.size(), 1000u);
+  ASSERT_EQ(scan.runs.size(), 1000u);
   ASSERT_EQ(scan.bad_lines, 0u);
   std::string out = obs::RenderTopSlowest(scan, 5);
   EXPECT_EQ(out,
@@ -148,12 +148,11 @@ class ScopedTempDir {
 };
 
 std::string RunLine(const std::string& query, uint64_t wall_ns) {
-  obs::QueryLogRecord r;
-  r.event = "run";
+  obs::RunRecord r;
   r.query = query;
   r.query_hash = obs::HashQueryText(query);
   r.wall_ns = wall_ns;
-  return obs::QueryLogRecordToJson(r) + "\n";
+  return obs::RunLogLineJson(r) + "\n";
 }
 
 TEST(InspectRotationTest, ReadsRotatedSegmentOldestFirst) {
@@ -170,10 +169,10 @@ TEST(InspectRotationTest, ReadsRotatedSegmentOldestFirst) {
   }
   auto scan = obs::ReadQueryLogWithRotation(log);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-  ASSERT_EQ(scan->records.size(), 3u);
-  EXPECT_EQ(scan->records[0].query, "q_oldest");
-  EXPECT_EQ(scan->records[1].query, "q_older");
-  EXPECT_EQ(scan->records[2].query, "q_newest");
+  ASSERT_EQ(scan->runs.size(), 3u);
+  EXPECT_EQ(scan->runs[0].query, "q_oldest");
+  EXPECT_EQ(scan->runs[1].query, "q_older");
+  EXPECT_EQ(scan->runs[2].query, "q_newest");
   EXPECT_EQ(scan->bad_lines, 1u);  // summed across both segments
 }
 
@@ -186,8 +185,8 @@ TEST(InspectRotationTest, NoRotatedSegmentReadsLiveFileOnly) {
   }
   auto scan = obs::ReadQueryLogWithRotation(log);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-  ASSERT_EQ(scan->records.size(), 1u);
-  EXPECT_EQ(scan->records[0].query, "q_only");
+  ASSERT_EQ(scan->runs.size(), 1u);
+  EXPECT_EQ(scan->runs[0].query, "q_only");
   // A missing live file is an error even if a `.1` segment existed.
   EXPECT_FALSE(
       obs::ReadQueryLogWithRotation(dir.path() + "/no_such_log").ok());
@@ -200,7 +199,7 @@ obs::QueryHistory HistoryEntry(uint64_t hash, const std::string& query,
                                uint64_t aborts = 0) {
   obs::QueryHistory h;
   for (size_t i = 0; i < walls.size(); ++i) {
-    obs::RunObservation run;
+    obs::RunRecord run;
     run.query_hash = hash;
     run.query = query;
     run.wall_ns = walls[i];
@@ -209,14 +208,14 @@ obs::QueryHistory HistoryEntry(uint64_t hash, const std::string& query,
       run.ok = false;
       run.aborted_limit = "max_bytes";
     }
-    obs::RunObservation::Op op;
+    obs::RunRecord::Op op;
     op.path = "Scan";
     op.op = "Scan(R)";
     op.est_rows = 10;
     op.actual_rows = static_cast<uint64_t>(10 * factor);
     op.factor = factor;
     run.ops.push_back(op);
-    obs::FoldRunObservation(h, run);
+    obs::FoldRunRecord(h, run);
   }
   return h;
 }
@@ -291,8 +290,8 @@ TEST(InspectBundleTest, ParsesRendersAndConvertsToChromeTrace) {
   auto bundle = obs::ParsePostmortemBundle(json);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_EQ(bundle->reason, "governor_abort");
-  EXPECT_EQ(bundle->aborted_limit, "max_bytes");
-  EXPECT_EQ(bundle->query_hash, "42");
+  EXPECT_EQ(bundle->run.aborted_limit, "max_bytes");
+  EXPECT_EQ(bundle->run.query_hash, 42u);
   ASSERT_EQ(bundle->events.size(), 3u);
   EXPECT_EQ(bundle->events[1].kind, "governor_trip");
   EXPECT_EQ(bundle->events[1].arg, 4096u);

@@ -313,7 +313,6 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
 
 TEST(QueryLogTest, RecordRoundTripsThroughJson) {
   obs::QueryLogRecord r;
-  r.event = "compile";
   r.query = "{x | R(x) and \"quoted\"}";
   r.query_hash = obs::HashQueryText(r.query);
   r.ok = false;
@@ -323,16 +322,14 @@ TEST(QueryLogTest, RecordRoundTripsThroughJson) {
   r.find_count = 4;
   r.ranf_size = 17;
   r.plan_nodes = 9;
-  r.rows_out = 0;
   r.wall_ns = 123456;
   r.string_pool_size = 42;
-  r.exec_threads = 8;
   r.phase_ns = {{"parse", 1000}, {"translate.safety", 2500}};
 
   std::string line = obs::QueryLogRecordToJson(r);
-  auto parsed = obs::ParseQueryLogRecord(line);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
-  EXPECT_EQ(parsed->event, r.event);
+  obs::QueryLogScan scan = obs::ParseQueryLogText(line);
+  ASSERT_EQ(scan.compiles.size(), 1u) << line;
+  const obs::QueryLogRecord* parsed = &scan.compiles[0];
   EXPECT_EQ(parsed->query, r.query);
   EXPECT_EQ(parsed->query_hash, r.query_hash);
   EXPECT_EQ(parsed->ok, r.ok);
@@ -345,11 +342,54 @@ TEST(QueryLogTest, RecordRoundTripsThroughJson) {
   EXPECT_EQ(parsed->wall_ns, r.wall_ns);
   EXPECT_EQ(parsed->string_pool_size, r.string_pool_size);
   EXPECT_EQ(parsed->phase_ns, r.phase_ns);
-  // exec_threads only travels on "run" records.
-  r.event = "run";
-  auto run = obs::ParseQueryLogRecord(obs::QueryLogRecordToJson(r));
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run->exec_threads, r.exec_threads);
+
+  // Run lines carry the run record.
+  obs::RunRecord run;
+  run.query = r.query;
+  run.query_hash = r.query_hash;
+  run.ok = false;
+  run.error = "RESOURCE_EXHAUSTED: max_rows exceeded";
+  run.aborted_limit = "max_rows";
+  run.wall_ns = 99;
+  run.rows_out = 0;
+  run.exec_threads = 8;
+  run.peak_bytes = 4096;
+  run.bytes_allocated = 8192;
+  run.string_pool_size = 42;
+  run.parallel_efficiency = 0.1;
+  run.par_workers = 3;
+  run.misestimate_factor = 160.0 / 3.0;
+  run.misestimate_op = "HashJoin(keys=1)";
+  run.est_history_ops = 2;
+  run.ops.push_back({"HashJoin", "HashJoin(keys=1)", 75, 4000, 53.5});
+  std::string run_line = obs::RunLogLineJson(run);
+  EXPECT_EQ(obs::ParseQueryLogText(run_line).runs.size(), 1u);
+  auto doc = obs::ParseJson(run_line);
+  ASSERT_TRUE(doc.ok()) << run_line;
+  EXPECT_EQ(doc->StringOr("event", ""), "run");
+  obs::RunRecord back = obs::RunRecordFromJson(*doc);
+  EXPECT_EQ(back.query, run.query);
+  EXPECT_EQ(back.query_hash, run.query_hash);
+  EXPECT_EQ(back.ok, run.ok);
+  EXPECT_EQ(back.error, run.error);
+  EXPECT_EQ(back.aborted_limit, run.aborted_limit);
+  EXPECT_EQ(back.wall_ns, run.wall_ns);
+  EXPECT_EQ(back.exec_threads, run.exec_threads);
+  EXPECT_EQ(back.peak_bytes, run.peak_bytes);
+  EXPECT_EQ(back.bytes_allocated, run.bytes_allocated);
+  EXPECT_EQ(back.string_pool_size, run.string_pool_size);
+  // Doubles travel as their shortest round-trip text: exact, not rounded.
+  EXPECT_EQ(back.parallel_efficiency, run.parallel_efficiency);
+  EXPECT_EQ(back.par_workers, run.par_workers);
+  EXPECT_EQ(back.misestimate_factor, run.misestimate_factor);
+  EXPECT_EQ(back.misestimate_op, run.misestimate_op);
+  EXPECT_EQ(back.est_history_ops, run.est_history_ops);
+  ASSERT_EQ(back.ops.size(), 1u);
+  EXPECT_EQ(back.ops[0].path, "HashJoin");
+  EXPECT_EQ(back.ops[0].op, "HashJoin(keys=1)");
+  EXPECT_EQ(back.ops[0].est_rows, 75);
+  EXPECT_EQ(back.ops[0].actual_rows, 4000u);
+  EXPECT_EQ(back.ops[0].factor, 53.5);
 }
 
 TEST(QueryLogTest, HashIsStableFnv1a) {
@@ -362,8 +402,7 @@ TEST(QueryLogTest, HashIsStableFnv1a) {
 TEST(QueryLogTest, SinkEmitsOneValidJsonObjectPerLine) {
   std::ostringstream out;
   obs::QueryLog log(&out);
-  obs::QueryLogRecord r;
-  r.event = "run";
+  obs::RunRecord r;
   r.query = "{x | R(x)}";
   r.rows_out = 2;
   log.Write(r);
@@ -509,42 +548,42 @@ TEST_F(ObsEndToEndTest, QueryLogRecordsCompileAndRunWithSharedHash) {
   ASSERT_TRUE(pq->Run(db_, {Value::Int(1)}).ok());
   obs::SetQueryLog(saved);
 
-  std::vector<obs::QueryLogRecord> records;
-  std::istringstream in(out.str());
-  std::string line;
-  while (std::getline(in, line)) {
-    auto r = obs::ParseQueryLogRecord(line);
-    ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << line;
-    records.push_back(*std::move(r));
-  }
-  ASSERT_EQ(records.size(), 5u);
+  obs::QueryLogScan scan = obs::ParseQueryLogText(out.str());
+  EXPECT_EQ(scan.bad_lines, 0u) << out.str();
+  ASSERT_EQ(scan.compiles.size(), 3u) << out.str();
+  ASSERT_EQ(scan.runs.size(), 2u) << out.str();
+  const std::vector<obs::QueryLogRecord>& compiles = scan.compiles;
+  const std::vector<obs::RunRecord>& runs = scan.runs;
 
-  EXPECT_EQ(records[0].event, "compile");
-  EXPECT_TRUE(records[0].ok);
-  EXPECT_TRUE(records[0].em_allowed);
-  EXPECT_GT(records[0].plan_nodes, 0);
-  EXPECT_GT(records[0].wall_ns, 0u);
-  EXPECT_FALSE(records[0].phase_ns.empty());
-  EXPECT_EQ(records[0].query_hash, obs::HashQueryText(text));
+  EXPECT_TRUE(compiles[0].ok);
+  EXPECT_TRUE(compiles[0].em_allowed);
+  EXPECT_GT(compiles[0].plan_nodes, 0);
+  EXPECT_GT(compiles[0].wall_ns, 0u);
+  EXPECT_FALSE(compiles[0].phase_ns.empty());
+  EXPECT_EQ(compiles[0].query_hash, obs::HashQueryText(text));
 
-  EXPECT_EQ(records[1].event, "run");
-  EXPECT_TRUE(records[1].ok);
-  EXPECT_EQ(records[1].rows_out, 3u);  // every EDGE node has a successor
-  EXPECT_EQ(records[1].query_hash, records[0].query_hash);
-  EXPECT_GE(records[1].exec_threads, 1u);  // 0 = hardware is resolved
+  EXPECT_TRUE(runs[0].ok);
+  EXPECT_EQ(runs[0].rows_out, 3u);  // every EDGE node has a successor
+  EXPECT_EQ(runs[0].query_hash, compiles[0].query_hash);
+  EXPECT_GE(runs[0].exec_threads, 1u);  // 0 = hardware is resolved
+  EXPECT_FALSE(runs[0].ops.empty());
 
-  EXPECT_EQ(records[2].event, "compile");
-  EXPECT_FALSE(records[2].ok);
-  EXPECT_FALSE(records[2].em_allowed);
-  EXPECT_FALSE(records[2].error.empty());
+  EXPECT_FALSE(compiles[1].ok);
+  EXPECT_FALSE(compiles[1].em_allowed);
+  EXPECT_FALSE(compiles[1].error.empty());
 
-  EXPECT_EQ(records[3].event, "compile");
-  EXPECT_TRUE(records[3].ok);
-  EXPECT_EQ(records[3].query_hash, obs::HashQueryText(param_text));
-  EXPECT_EQ(records[4].event, "run");
-  EXPECT_TRUE(records[4].ok);
-  EXPECT_EQ(records[4].rows_out, 1u);  // EDGE(1, 2)
-  EXPECT_EQ(records[4].query_hash, records[3].query_hash);
+  // The parameterized compile record goes through the same helper as a
+  // plain compile: it carries the safety and RANF figures and the phase
+  // breakdown (its plan is built per call, so it has no plan_nodes).
+  EXPECT_TRUE(compiles[2].ok);
+  EXPECT_TRUE(compiles[2].em_allowed);
+  EXPECT_EQ(compiles[2].query_hash, obs::HashQueryText(param_text));
+  EXPECT_GT(compiles[2].find_count, 0);
+  EXPECT_GT(compiles[2].ranf_size, 0);
+  EXPECT_FALSE(compiles[2].phase_ns.empty());
+  EXPECT_TRUE(runs[1].ok);
+  EXPECT_EQ(runs[1].rows_out, 1u);  // EDGE(1, 2)
+  EXPECT_EQ(runs[1].query_hash, compiles[2].query_hash);
 }
 
 // ExplainAnalyze renders the plan that ran: it plans once per call, so it
@@ -621,10 +660,9 @@ class QueryLogFileTest : public ::testing::Test {
     return buf.str();
   }
 
-  static obs::QueryLogRecord RunRecord(const std::string& query, bool ok,
-                                       const std::string& aborted_limit) {
-    obs::QueryLogRecord r;
-    r.event = "run";
+  static obs::RunRecord MakeRun(const std::string& query, bool ok,
+                                const std::string& aborted_limit) {
+    obs::RunRecord r;
     r.query = query;
     r.query_hash = obs::HashQueryText(query);
     r.ok = ok;
@@ -640,10 +678,10 @@ class QueryLogFileTest : public ::testing::Test {
 TEST_F(QueryLogFileTest, AbortRecordsBypassTheBuffer) {
   auto log = obs::QueryLog::Open(path_);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
-  (*log)->Write(RunRecord("{x | A(x)}", true, ""));
+  (*log)->Write(MakeRun("{x | A(x)}", true, ""));
   // A healthy record is buffered; nothing on disk yet.
   EXPECT_EQ(ReadAll(path_), "");
-  (*log)->Write(RunRecord("{x | B(x)}", false, "max_bytes"));
+  (*log)->Write(MakeRun("{x | B(x)}", false, "max_bytes"));
   // The abort flushed the buffer: both lines are on disk immediately.
   std::string on_disk = ReadAll(path_);
   EXPECT_NE(on_disk.find("\"query\":\"{x | A(x)}\""), std::string::npos);
@@ -654,7 +692,7 @@ TEST_F(QueryLogFileTest, AbortRecordsBypassTheBuffer) {
 TEST_F(QueryLogFileTest, TrySignalFlushDrainsTheBuffer) {
   auto log = obs::QueryLog::Open(path_);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
-  (*log)->Write(RunRecord("{x | A(x)}", true, ""));
+  (*log)->Write(MakeRun("{x | A(x)}", true, ""));
   EXPECT_EQ(ReadAll(path_), "");
   EXPECT_TRUE((*log)->TrySignalFlush());
   EXPECT_NE(ReadAll(path_).find("\"query\":\"{x | A(x)}\""),
@@ -667,7 +705,7 @@ TEST_F(QueryLogFileTest, RotatesToDotOneAtSizeCap) {
   (*log)->SetRotationMaxBytes(512);
   constexpr int kRecords = 40;
   for (int i = 0; i < kRecords; ++i) {
-    (*log)->Write(RunRecord("{x | R" + std::to_string(i) + "(x)}", true, ""));
+    (*log)->Write(MakeRun("{x | R" + std::to_string(i) + "(x)}", true, ""));
     (*log)->Flush();
   }
   EXPECT_GE((*log)->rotations(), 1u);
@@ -678,12 +716,12 @@ TEST_F(QueryLogFileTest, RotatesToDotOneAtSizeCap) {
   obs::QueryLogScan live = obs::ParseQueryLogText(ReadAll(path_));
   obs::QueryLogScan rotated = obs::ParseQueryLogText(ReadAll(path_ + ".1"));
   EXPECT_EQ(live.bad_lines + rotated.bad_lines, 0u);
-  EXPECT_GT(rotated.records.size(), 0u);
+  EXPECT_GT(rotated.runs.size(), 0u);
   bool newest_present = false;
-  for (const auto& r : live.records) {
+  for (const auto& r : live.runs) {
     if (r.query == "{x | R39(x)}") newest_present = true;
   }
-  for (const auto& r : rotated.records) {
+  for (const auto& r : rotated.runs) {
     if (r.query == "{x | R39(x)}") newest_present = true;
   }
   EXPECT_TRUE(newest_present);
@@ -695,7 +733,7 @@ TEST_F(QueryLogFileTest, EnvCapAppliesAtOpen) {
   unsetenv("EMCALC_QUERY_LOG_MAX_BYTES");
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   for (int i = 0; i < 20; ++i) {
-    (*log)->Write(RunRecord("{x | R" + std::to_string(i) + "(x)}", true, ""));
+    (*log)->Write(MakeRun("{x | R" + std::to_string(i) + "(x)}", true, ""));
     (*log)->Flush();
   }
   EXPECT_GE((*log)->rotations(), 1u);

@@ -23,6 +23,7 @@
 #include "src/core/random_query.h"
 #include "src/core/workload.h"
 #include "src/exec/lower.h"
+#include "src/obs/inspect.h"
 #include "src/obs/query_log.h"
 #include "src/storage/adom.h"
 #include "src/translate/pipeline.h"
@@ -268,18 +269,16 @@ TEST(PipelineInvariantsTest, VerifyViolationsAttachToCompileRecords) {
   ::unsetenv("EMCALC_LINT");
   verify::ForceEnabled(-1);
 
-  std::istringstream in(sink.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  auto record = obs::ParseQueryLogRecord(line);
-  ASSERT_TRUE(record.ok()) << line;
-  EXPECT_EQ(record->event, "compile");
-  EXPECT_FALSE(record->ok);
+  obs::QueryLogScan scan = obs::ParseQueryLogText(sink.str());
+  ASSERT_FALSE(scan.compiles.empty()) << sink.str();
+  const obs::QueryLogRecord& record = scan.compiles[0];
+  EXPECT_FALSE(record.ok);
   bool found = false;
-  for (const diag::Diagnostic& d : record->diagnostics) {
+  for (const diag::Diagnostic& d : record.diagnostics) {
     if (d.code == "verify.form.rel-arity") found = true;
   }
-  EXPECT_TRUE(found) << "no verify.form.rel-arity diagnostic in: " << line;
+  EXPECT_TRUE(found) << "no verify.form.rel-arity diagnostic in: "
+                     << sink.str();
 }
 
 }  // namespace

@@ -18,10 +18,12 @@
 #include "src/base/thread_pool.h"
 #include "src/core/compiler.h"
 #include "src/obs/flight_recorder.h"
+#include "src/obs/history.h"
 #include "src/obs/inspect.h"
 #include "src/obs/json.h"
 #include "src/obs/postmortem.h"
 #include "src/obs/query_log.h"
+#include "src/obs/run_record.h"
 #include "src/storage/csv.h"
 
 namespace emcalc {
@@ -160,23 +162,23 @@ TEST(PostmortemTest, BundleRoundTripsThroughInspect) {
   obs::FlightRecord(obs::FlightEventKind::kSpanBegin, "exec.run");
   obs::FlightRecord(obs::FlightEventKind::kSpanEnd, "exec.run");
 
-  obs::PostmortemInfo info;
-  info.reason = "manual";
-  info.query = "{x | R(x)}";
-  info.query_hash = obs::HashQueryText(info.query);
-  info.error = "RESOURCE_EXHAUSTED: max_bytes exceeded";
-  info.aborted_limit = "max_bytes";
-  info.profile_json = "{\"op\":\"Scan\"}";
-  auto path = obs::WritePostmortem(info);
+  obs::RunRecord run;
+  run.query = "{x | R(x)}";
+  run.query_hash = obs::HashQueryText(run.query);
+  run.ok = false;
+  run.error = "RESOURCE_EXHAUSTED: max_bytes exceeded";
+  run.aborted_limit = "max_bytes";
+  auto path = obs::WritePostmortem("manual", run, "{\"op\":\"Scan\"}");
   ASSERT_TRUE(path.ok()) << path.status().ToString();
 
   auto bundle = obs::ReadPostmortemBundle(*path);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_EQ(bundle->reason, "manual");
-  EXPECT_EQ(bundle->query, info.query);
-  EXPECT_EQ(bundle->query_hash, std::to_string(info.query_hash));
-  EXPECT_EQ(bundle->error, info.error);
-  EXPECT_EQ(bundle->aborted_limit, "max_bytes");
+  EXPECT_EQ(bundle->run.query, run.query);
+  EXPECT_EQ(bundle->run.query_hash, run.query_hash);
+  EXPECT_FALSE(bundle->run.ok);
+  EXPECT_EQ(bundle->run.error, run.error);
+  EXPECT_EQ(bundle->run.aborted_limit, "max_bytes");
   EXPECT_EQ(bundle->profile.StringOr("op", ""), "Scan");
   ASSERT_GE(bundle->events.size(), 2u);
 
@@ -195,9 +197,7 @@ TEST(PostmortemTest, BundleRoundTripsThroughInspect) {
 
 TEST(PostmortemTest, DisabledWriterFails) {
   ScopedPostmortemDir postmortem("");
-  obs::PostmortemInfo info;
-  info.reason = "manual";
-  EXPECT_FALSE(obs::WritePostmortem(info).ok());
+  EXPECT_FALSE(obs::WritePostmortem("manual", obs::RunRecord()).ok());
 }
 
 TEST(PostmortemTest, GovernorAbortWritesBundleMatchingQueryLog) {
@@ -236,8 +236,8 @@ TEST(PostmortemTest, GovernorAbortWritesBundleMatchingQueryLog) {
   auto bundle = obs::ReadPostmortemBundle(files[0]);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   EXPECT_EQ(bundle->reason, "governor_abort");
-  EXPECT_EQ(bundle->aborted_limit, "max_bytes");
-  EXPECT_EQ(bundle->query, "{x | exists y (EDGE(x, y))}");
+  EXPECT_EQ(bundle->run.aborted_limit, "max_bytes");
+  EXPECT_EQ(bundle->run.query, "{x | exists y (EDGE(x, y))}");
 
   // The ring shows the aborting operator's span and the governor trip.
   bool saw_exec_span = false;
@@ -252,15 +252,97 @@ TEST(PostmortemTest, GovernorAbortWritesBundleMatchingQueryLog) {
   // The bundle agrees with the query log's record of the same run.
   obs::QueryLogScan scan = obs::ParseQueryLogText(log_buffer.str());
   ASSERT_EQ(scan.bad_lines, 0u);
-  bool found_run = false;
-  for (const obs::QueryLogRecord& r : scan.records) {
-    if (r.event != "run") continue;
-    found_run = true;
-    EXPECT_FALSE(r.ok);
-    EXPECT_EQ(r.aborted_limit, bundle->aborted_limit);
-    EXPECT_EQ(std::to_string(r.query_hash), bundle->query_hash);
+  ASSERT_EQ(scan.runs.size(), 1u);
+  const obs::RunRecord& r = scan.runs[0];
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.aborted_limit, bundle->run.aborted_limit);
+  EXPECT_EQ(r.query_hash, bundle->run.query_hash);
+  obs::ResetFlightRingForTesting(obs::FlightRingCapacity());
+}
+
+// One governor-aborted run with every sink installed: the query-log run
+// line, the history-store run line and the postmortem bundle are three
+// encodings of the one run record ObserveRun builds, so each parses back
+// (through the one run-record parser) to the same record.
+TEST(PostmortemTest, OneRunRecordReachesEverySink) {
+  ScopedTempDir dir("one_record");
+  const std::string bundles = dir.path() + "/bundles";
+  const std::string history = dir.path() + "/history";
+  ScopedPostmortemDir postmortem(bundles);
+  auto store = obs::HistoryStore::Open(history);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  obs::HistoryStore* saved_store = obs::GetHistoryStore();
+  obs::SetHistoryStore(store->get());
+  std::ostringstream log_buffer;
+  obs::QueryLog log(&log_buffer);
+  obs::QueryLog* saved_log = obs::GetQueryLog();
+  obs::SetQueryLog(&log);
+
+  Compiler compiler;
+  Database db;
+  std::string csv;
+  for (int i = 0; i < 500; ++i) {
+    csv += std::to_string(i) + "," + std::to_string(i + 1) + "\n";
   }
-  EXPECT_TRUE(found_run);
+  ASSERT_TRUE(LoadCsvText(db, "EDGE", csv).ok());
+  const std::string text = "{x | exists y (EDGE(x, y))}";
+  auto q = compiler.Compile(text);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  setenv("EMCALC_MAX_QUERY_BYTES", "1", 1);
+  auto aborted = q->Run(db);
+  unsetenv("EMCALC_MAX_QUERY_BYTES");
+  obs::SetQueryLog(saved_log);
+  obs::SetHistoryStore(saved_store);
+  store->reset();
+  ASSERT_FALSE(aborted.ok());
+
+  obs::QueryLogScan scan = obs::ParseQueryLogText(log_buffer.str());
+  ASSERT_EQ(scan.runs.size(), 1u) << log_buffer.str();
+  const obs::RunRecord& from_log = scan.runs[0];
+
+  std::ifstream history_file(history + "/history.jsonl");
+  std::string line;
+  ASSERT_TRUE(std::getline(history_file, line));
+  auto history_doc = obs::ParseJson(line);
+  ASSERT_TRUE(history_doc.ok()) << line;
+  EXPECT_EQ(history_doc->NumberOr("v", 0), 2);
+  EXPECT_EQ(history_doc->StringOr("type", ""), "run");
+  const obs::RunRecord from_history = obs::RunRecordFromJson(*history_doc);
+
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(bundles)) {
+    files.push_back(entry.path().string());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  auto bundle = obs::ReadPostmortemBundle(files[0]);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  EXPECT_EQ(bundle->reason, "governor_abort");
+  const obs::RunRecord& from_bundle = bundle->run;
+
+  EXPECT_EQ(from_log.query_hash, obs::HashQueryText(text));
+  EXPECT_EQ(from_log.query, text);
+  EXPECT_FALSE(from_log.ok);
+  EXPECT_EQ(from_log.error, aborted.status().ToString());
+  EXPECT_EQ(from_log.aborted_limit, "max_bytes");
+  EXPECT_GT(from_log.wall_ns, 0u);
+  EXPECT_EQ(from_log.rows_out, 0u);
+  EXPECT_GT(from_log.peak_bytes, 0u);
+  for (const obs::RunRecord* other : {&from_history, &from_bundle}) {
+    EXPECT_EQ(other->query_hash, from_log.query_hash);
+    EXPECT_EQ(other->query, from_log.query);
+    EXPECT_EQ(other->ok, from_log.ok);
+    EXPECT_EQ(other->error, from_log.error);
+    EXPECT_EQ(other->aborted_limit, from_log.aborted_limit);
+    EXPECT_EQ(other->wall_ns, from_log.wall_ns);
+    EXPECT_EQ(other->rows_out, from_log.rows_out);
+    EXPECT_EQ(other->peak_bytes, from_log.peak_bytes);
+    // Every other member agrees too: the re-encodings are identical.
+    std::string a;
+    std::string b;
+    obs::AppendRunRecordJson(from_log, a);
+    obs::AppendRunRecordJson(*other, b);
+    EXPECT_EQ(a, b);
+  }
   obs::ResetFlightRingForTesting(obs::FlightRingCapacity());
 }
 

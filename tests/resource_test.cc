@@ -21,6 +21,7 @@
 #include "src/exec/feedback.h"
 #include "src/exec/lower.h"
 #include "src/exec/physical.h"
+#include "src/obs/inspect.h"
 #include "src/obs/json.h"
 #include "src/obs/query_log.h"
 #include "src/obs/resource.h"
@@ -557,17 +558,8 @@ class ScopedQueryLog {
   }
   ~ScopedQueryLog() { obs::SetQueryLog(saved_); }
 
-  std::vector<obs::QueryLogRecord> RunRecords() {
-    std::vector<obs::QueryLogRecord> out;
-    std::istringstream lines(buffer_.str());
-    std::string line;
-    while (std::getline(lines, line)) {
-      auto record = obs::ParseQueryLogRecord(line);
-      if (record.ok() && record->event == "run") {
-        out.push_back(std::move(record).value());
-      }
-    }
-    return out;
+  std::vector<obs::RunRecord> RunRecords() {
+    return obs::ParseQueryLogText(buffer_.str()).runs;
   }
 
  private:
@@ -594,7 +586,7 @@ TEST(QueryLogResourceTest, RunRecordsCarryMemoryAndAbortFields) {
   unsetenv("EMCALC_MAX_QUERY_BYTES");
   ASSERT_FALSE(aborted.ok());
 
-  std::vector<obs::QueryLogRecord> runs = log.RunRecords();
+  std::vector<obs::RunRecord> runs = log.RunRecords();
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_TRUE(runs[0].ok);
   EXPECT_GT(runs[0].peak_bytes, 0u);

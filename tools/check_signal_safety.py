@@ -36,6 +36,7 @@ SIGNAL_PATH_TUS = [
     "src/obs/postmortem.cc",
     "src/obs/query_log.cc",
     "src/obs/flight_recorder.cc",
+    "src/obs/raw_write.cc",
 ]
 
 # BFS roots: any defined function whose demangled name matches one of
