@@ -13,12 +13,15 @@
 
 namespace emcalc {
 
-// A column reference (@i), constant, or scalar function application.
-// Arena-allocated in the same AstContext as the query being translated
-// (expressions reference the context's constant pool and symbol table).
+// A column reference (@i), constant, scalar function application, or
+// parameter slot ($i). Arena-allocated in the same AstContext as the query
+// being translated (expressions reference the context's constant pool and
+// symbol table). A parameter slot reads the i-th argument of the execution
+// (ParameterizedQuery::Run); every pass treats it like a constant whose
+// value is unknown until then.
 class ScalarExpr {
  public:
-  enum class Kind : uint8_t { kCol, kConst, kApply };
+  enum class Kind : uint8_t { kCol, kConst, kApply, kParam };
 
   Kind kind() const { return kind_; }
   bool is_col() const { return kind_ == Kind::kCol; }
@@ -27,6 +30,8 @@ class ScalarExpr {
   int col() const { return col_; }
   // kConst: constant-pool id.
   uint32_t const_id() const { return const_id_; }
+  // kParam: 0-based argument index (printed 1-based as $i).
+  uint32_t param() const { return const_id_; }
   // kApply: function symbol and arguments.
   Symbol fn() const { return fn_; }
   std::span<const ScalarExpr* const> args() const {
@@ -41,7 +46,7 @@ class ScalarExpr {
   friend class ExprFactory;
   Kind kind_ = Kind::kCol;
   int col_ = 0;
-  uint32_t const_id_ = 0;
+  uint32_t const_id_ = 0;  // kConst: pool id; kParam: argument index
   uint32_t num_args_ = 0;
   Symbol fn_;
   const ScalarExpr* const* args_ = nullptr;
@@ -55,6 +60,7 @@ class ExprFactory {
   const ScalarExpr* Col(int index);
   const ScalarExpr* Const(uint32_t const_id);
   const ScalarExpr* ConstValue(const Value& v);
+  const ScalarExpr* Param(uint32_t index);
   const ScalarExpr* Apply(Symbol fn, std::span<const ScalarExpr* const> args);
 
   // Rewrites column indices: @i becomes @map[i]. Used when an operator's

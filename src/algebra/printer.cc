@@ -11,6 +11,9 @@ void PrintExpr(const AstContext& ctx, const ScalarExpr* e, std::string& out) {
     case ScalarExpr::Kind::kConst:
       out += ctx.ConstantAt(e->const_id()).ToString();
       break;
+    case ScalarExpr::Kind::kParam:
+      out += "$" + std::to_string(e->param() + 1);
+      break;
     case ScalarExpr::Kind::kApply: {
       out += ctx.symbols().Name(e->fn());
       out += "(";

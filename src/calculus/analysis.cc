@@ -11,6 +11,7 @@ void CollectTermVars(const Term* t, std::vector<Symbol>& out) {
       out.push_back(t->symbol());
       break;
     case Term::Kind::kConst:
+    case Term::Kind::kParam:
       break;
     case Term::Kind::kApply:
       for (const Term* a : t->args()) CollectTermVars(a, out);

@@ -31,6 +31,11 @@ const Term* AstContext::MakeConst(const Value& v) {
       Term(Term::Kind::kConst, Symbol{}, InternConstant(v), nullptr, 0));
 }
 
+const Term* AstContext::MakeParam(uint32_t index) {
+  return arena_.New<Term>(
+      Term(Term::Kind::kParam, Symbol{}, index, nullptr, 0));
+}
+
 const Term* AstContext::MakeApply(Symbol fn,
                                   std::span<const Term* const> args) {
   const Term** copy = const_cast<const Term**>(
@@ -189,6 +194,8 @@ bool TermsEqual(const Term* a, const Term* b) {
       return a->symbol() == b->symbol();
     case Term::Kind::kConst:
       return a->const_id() == b->const_id();
+    case Term::Kind::kParam:
+      return a->param_index() == b->param_index();
     case Term::Kind::kApply: {
       if (a->symbol() != b->symbol()) return false;
       if (a->args().size() != b->args().size()) return false;

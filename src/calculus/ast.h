@@ -30,9 +30,13 @@ class AstContext;
 // ---------------------------------------------------------------------------
 
 // A term over variables, interned constants, and scalar function symbols.
+// A kParam term is a closed placeholder for the i-th host-program argument
+// of a parameterized query (Section 9's "em-allowed for X"): it stands where
+// the argument's constant would be substituted, so every pass that accepts
+// a constant accepts it, but its value is bound only at execution.
 class Term {
  public:
-  enum class Kind : uint8_t { kVar, kConst, kApply };
+  enum class Kind : uint8_t { kVar, kConst, kApply, kParam };
 
   Kind kind() const { return kind_; }
   bool is_var() const { return kind_ == Kind::kVar; }
@@ -44,6 +48,9 @@ class Term {
 
   // kConst: index into the owning AstContext's constant pool.
   uint32_t const_id() const { return const_id_; }
+
+  // kParam: 0-based argument index (printed 1-based as $i).
+  uint32_t param_index() const { return const_id_; }
 
   // kApply: argument terms.
   std::span<const Term* const> args() const {
@@ -62,7 +69,7 @@ class Term {
 
   Kind kind_;
   Symbol symbol_;
-  uint32_t const_id_;
+  uint32_t const_id_;  // kConst: pool id; kParam: argument index
   uint32_t num_args_;
   const Term* const* args_;
 };
@@ -175,6 +182,7 @@ class AstContext {
   const Term* MakeVar(Symbol v);
   const Term* MakeVar(std::string_view name);
   const Term* MakeConst(const Value& v);
+  const Term* MakeParam(uint32_t index);
   const Term* MakeApply(Symbol fn, std::span<const Term* const> args);
   const Term* MakeApply(std::string_view fn,
                         std::initializer_list<const Term*> args);

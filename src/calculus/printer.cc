@@ -14,6 +14,9 @@ void PrintTerm(const AstContext& ctx, const Term* t, std::string& out) {
     case Term::Kind::kConst:
       out += ctx.ConstantAt(t->const_id()).ToString();
       break;
+    case Term::Kind::kParam:
+      out += "$" + std::to_string(t->param_index() + 1);
+      break;
     case Term::Kind::kApply: {
       out += ctx.symbols().Name(t->symbol());
       out += "(";

@@ -26,6 +26,7 @@ const Term* SubstituteTerm(AstContext& ctx, const Term* t,
       return it == sub.end() ? t : it->second;
     }
     case Term::Kind::kConst:
+    case Term::Kind::kParam:
       return t;
     case Term::Kind::kApply: {
       std::vector<const Term*> args;

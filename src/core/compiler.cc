@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <optional>
+#include <span>
 
 #include "src/base/string_pool.h"
 #include "src/base/thread_pool.h"
@@ -179,20 +178,41 @@ void ObserveRun(const std::string& text, uint64_t hash,
   if (log != nullptr) log->Write(run);
 }
 
+// Lowers a query's optimized plan once at compile time, for every run, and
+// times it as the "lower" phase. `num_params` is the parameter count of a
+// parameterized query (0 otherwise). A failed lowering is returned as the
+// value: the query stays usable for inspection and each run reports the
+// error; the caller fails the compile instead when the error is a
+// stage-boundary verification report.
+LoweredPlan LowerForRuns(const AstContext& ctx, const AlgExpr* plan,
+                         const FunctionRegistry& functions,
+                         const std::string& text, size_t num_params,
+                         obs::CompilePhase& profile) {
+  obs::PhaseTimer timer(&profile, "lower", "compile.lower");
+  ExecOptions exec_options;
+  exec_options.query_hash = obs::HashQueryText(text);
+  auto lowered = Lower(ctx, plan, functions, exec_options, num_params);
+  if (!lowered.ok()) {
+    timer.SetDetail("failed: " + lowered.status().ToString());
+    return lowered.status();
+  }
+  timer.SetDetail("ops=" + std::to_string(lowered->NumOperators()));
+  return std::make_shared<const PhysicalPlan>(std::move(lowered).value());
+}
+
 // The one observed-run path behind every Run, RunWithProfile and
-// ExplainAnalyze entry point. Executes `cached`, or when it is null lowers
-// the plan `plan_for` returns (reported through `ran_plan` when given),
-// under one trace span and QueryObsScope. Profiles whenever a consumer
-// exists: the caller's stats or profile, a query log, a history store, or
-// a postmortem bundle that would want the partial profile. Folds the
-// totals into `stats` and reports the attempt to every sink through
-// ObserveRun. `text` is the query's source text, hashed once here.
-StatusOr<Relation> RunObserved(
-    const Compiler& owner, const std::string& text,
-    const PhysicalPlan* cached,
-    const std::function<StatusOr<const AlgExpr*>()>& plan_for,
-    const Database& db, AlgebraEvalStats* stats, ExecProfile* profile,
-    const AlgExpr** ran_plan = nullptr) {
+// ExplainAnalyze entry point. Executes the plan lowered at compile time
+// with `args` bound to its parameter slots (or returns its lowering
+// error) under one trace span and QueryObsScope. Profiles whenever a
+// consumer exists: the caller's stats or profile, a query log, a history
+// store, or a postmortem bundle that would want the partial profile.
+// Folds the totals into `stats` and reports the attempt to every sink
+// through ObserveRun. `text` is the query's source text, hashed once here.
+StatusOr<Relation> RunObserved(const std::string& text,
+                               const LoweredPlan& physical,
+                               std::span<const Value> args,
+                               const Database& db, AlgebraEvalStats* stats,
+                               ExecProfile* profile) {
   obs::Span span("exec.run");
   const uint64_t hash = obs::HashQueryText(text);
   QueryObsScope obs_scope(text, hash);
@@ -206,25 +226,10 @@ StatusOr<Relation> RunObserved(
   size_t num_threads = 0;
   bool executed = false;  // a plan ran, so `profile` describes it
   auto answer = [&]() -> StatusOr<Relation> {
-    std::optional<PhysicalPlan> lowered;
-    const PhysicalPlan* physical = cached;
-    if (physical == nullptr) {
-      auto plan = plan_for();
-      if (!plan.ok()) return plan.status();
-      if (ran_plan != nullptr) *ran_plan = *plan;
-      // History is keyed on the query text: a parameterized query's runs
-      // with different arguments pool into one hash, so corrections are
-      // the mean actual over the argument mix seen so far.
-      ExecOptions exec_options;
-      exec_options.query_hash = hash;
-      auto physical_or =
-          Lower(owner.ctx(), *plan, owner.functions(), exec_options);
-      if (!physical_or.ok()) return physical_or.status();
-      physical = &lowered.emplace(std::move(physical_or).value());
-    }
-    num_threads = physical->options().num_threads;
+    if (!physical.ok()) return physical.status();
+    num_threads = (*physical)->options().num_threads;
     executed = true;
-    auto result = physical->ExecuteToRelation(db, profile);
+    auto result = (*physical)->ExecuteToRelation(db, profile, args);
     if (result.ok() && stats != nullptr) {
       ExecTotals totals = SumProfile(*profile);
       stats->tuples_scanned += totals.rows_in;
@@ -239,11 +244,22 @@ StatusOr<Relation> RunObserved(
   return answer;
 }
 
-// EXPLAIN ANALYZE report of one run, shared by both query kinds.
+// EXPLAIN ANALYZE report of one run, shared by both query kinds. `args`
+// are a parameterized run's argument values, shown against the plan's
+// parameter slots; a compiled query has none and gets no args line.
 std::string RenderExplainAnalyze(const std::string& plan,
+                                 std::span<const Value> args,
                                  const Relation& answer,
                                  const ExecProfile& profile) {
   std::string out = "plan: " + plan + "\n";
+  if (!args.empty()) {
+    out += "args:";
+    for (size_t i = 0; i < args.size(); ++i) {
+      out += (i == 0 ? " $" : ", $") + std::to_string(i + 1) + "=" +
+             args[i].ToString();
+    }
+    out += "\n";
+  }
   out += "answer rows: " + std::to_string(answer.size()) + "\n";
   out += ExecProfileToString(profile);
   out += "memory: peak " + std::to_string(profile.total_peak_bytes) +
@@ -283,25 +299,19 @@ std::string CompiledQuery::ExplainCompile() const {
 
 StatusOr<Relation> CompiledQuery::Run(const Database& db,
                                       AlgebraEvalStats* stats) const {
-  return RunObserved(
-      *owner_, text_, physical_.get(),
-      [&]() -> StatusOr<const AlgExpr*> { return translation_.plan; }, db,
-      stats, nullptr);
+  return RunObserved(text_, physical_, {}, db, stats, nullptr);
 }
 
 StatusOr<Relation> CompiledQuery::RunWithProfile(const Database& db,
                                                  ExecProfile* profile) const {
-  return RunObserved(
-      *owner_, text_, physical_.get(),
-      [&]() -> StatusOr<const AlgExpr*> { return translation_.plan; }, db,
-      nullptr, profile);
+  return RunObserved(text_, physical_, {}, db, nullptr, profile);
 }
 
 StatusOr<std::string> CompiledQuery::ExplainAnalyze(const Database& db) const {
   ExecProfile profile;
   auto answer = RunWithProfile(db, &profile);
   if (!answer.ok()) return answer.status();
-  return RenderExplainAnalyze(PlanString(), *answer, profile);
+  return RenderExplainAnalyze(PlanString(), {}, *answer, profile);
 }
 
 Compiler::Compiler() : Compiler(BuiltinFunctions()) {}
@@ -451,31 +461,18 @@ StatusOr<CompiledQuery> Compiler::CompileImpl(const Query& q,
     return fail(translation.status(), nullptr);
   }
 
-  std::shared_ptr<const PhysicalPlan> physical;
-  {
-    obs::PhaseTimer timer(&profile, "lower", "compile.lower");
-    ExecOptions exec_options;
-    exec_options.query_hash = obs::HashQueryText(text);
-    auto lowered = Lower(*ctx_, translation->plan, functions_, exec_options);
-    if (lowered.ok()) {
-      timer.SetDetail("ops=" + std::to_string(lowered->NumOperators()));
-      physical = std::make_shared<const PhysicalPlan>(
-          std::move(lowered).value());
-    } else {
-      // A stage-boundary verification failure means the lowered plan is
-      // structurally wrong — fail the compile rather than hand out a query
-      // that would re-lower into the same broken plan at execution.
-      std::vector<diag::Diagnostic> vd =
-          verify::DiagnosticsFromStatus(lowered.status());
-      if (!vd.empty()) {
-        if (lint_to_log) {
-          for (diag::Diagnostic& d : vd) log_diags.push_back(std::move(d));
-        }
-        return fail(lowered.status(), &*translation);
+  LoweredPlan physical =
+      LowerForRuns(*ctx_, translation->plan, functions_, text, 0, profile);
+  if (!physical.ok()) {
+    // A stage-boundary verification failure means the lowered plan is
+    // structurally wrong: fail the compile rather than hand out the query.
+    std::vector<diag::Diagnostic> vd =
+        verify::DiagnosticsFromStatus(physical.status());
+    if (!vd.empty()) {
+      if (lint_to_log) {
+        for (diag::Diagnostic& d : vd) log_diags.push_back(std::move(d));
       }
-      // Keep the query usable for inspection; executions will re-lower and
-      // report this error.
-      timer.SetDetail("failed: " + lowered.status().ToString());
+      return fail(physical.status(), &*translation);
     }
   }
 
@@ -649,16 +646,50 @@ StatusOr<ParameterizedQuery> Compiler::CompileParameterized(
     timer.SetDetail("size=" + std::to_string(FormulaSize(ranf)));
   }
 
-  profile.wall_ns = obs::NowNs() - start_ns;
-  CompileMetrics::Get().wall_ns.Observe(static_cast<double>(profile.wall_ns));
-  // The plan is built per call, so the record has no plan_nodes.
+  // Each parameter becomes the closed term $i. Like an argument constant
+  // it turns "RANF for params" into "RANF for {}", so the plan has the
+  // shape PlanFor's grounded plan has, with parameter slots where the
+  // argument constants would be; it is translated and lowered once here
+  // and every run binds its arguments into it.
   Translation logged;
+  {
+    obs::PhaseTimer timer(&profile, "algebra_gen", "compile.algebra_gen");
+    Substitution slots;
+    for (size_t i = 0; i < param_syms.size(); ++i) {
+      slots.emplace(param_syms[i],
+                    ctx_->MakeParam(static_cast<uint32_t>(i)));
+    }
+    AlgebraGenerator generator(*ctx_, options.inverse_fns);
+    auto raw = generator.Translate(SubstituteFormula(*ctx_, ranf, slots),
+                                   q.head);
+    if (!raw.ok()) return fail(raw.status());
+    logged.raw_plan = *raw;
+    timer.SetDetail("nodes=" + std::to_string(logged.raw_plan->NodeCount()));
+  }
+  {
+    obs::PhaseTimer timer(&profile, "optimize", "compile.optimize");
+    AlgebraFactory factory(*ctx_);
+    logged.plan = OptimizePlan(factory, logged.raw_plan);
+    timer.SetDetail("nodes " + std::to_string(logged.raw_plan->NodeCount()) +
+                    "->" + std::to_string(logged.plan->NodeCount()));
+  }
   logged.safety.em_allowed = true;
   logged.find_count = static_cast<size_t>(find_count);
   logged.ranf = ranf;
-  LogCompile(std::string(text), Status::Ok(), profile, &logged, &q);
-  return ParameterizedQuery(this, std::move(q), std::string(text),
-                            std::move(param_syms), ranf, options.inverse_fns);
+  const std::string source(text);
+  LoweredPlan physical = LowerForRuns(*ctx_, logged.plan, functions_, source,
+                                      param_syms.size(), profile);
+  if (!physical.ok() &&
+      !verify::DiagnosticsFromStatus(physical.status()).empty()) {
+    return fail(physical.status());
+  }
+
+  profile.wall_ns = obs::NowNs() - start_ns;
+  CompileMetrics::Get().wall_ns.Observe(static_cast<double>(profile.wall_ns));
+  LogCompile(source, Status::Ok(), profile, &logged, &q);
+  return ParameterizedQuery(this, std::move(q), source, std::move(param_syms),
+                            ranf, options.inverse_fns, logged.plan,
+                            std::move(physical));
 }
 
 StatusOr<const AlgExpr*> ParameterizedQuery::PlanFor(
@@ -683,32 +714,28 @@ StatusOr<const AlgExpr*> ParameterizedQuery::PlanFor(
   return OptimizePlan(factory, *plan);
 }
 
+std::string ParameterizedQuery::PlanString() const {
+  return AlgExprToString(owner_->ctx(), plan_);
+}
+
 StatusOr<Relation> ParameterizedQuery::Run(const Database& db,
                                            const std::vector<Value>& args,
                                            AlgebraEvalStats* stats) const {
-  return RunObserved(
-      *owner_, text_, nullptr, [&] { return PlanFor(args); }, db, stats,
-      nullptr);
+  return RunObserved(text_, physical_, args, db, stats, nullptr);
 }
 
 StatusOr<Relation> ParameterizedQuery::RunWithProfile(
     const Database& db, const std::vector<Value>& args,
     ExecProfile* profile) const {
-  return RunObserved(
-      *owner_, text_, nullptr, [&] { return PlanFor(args); }, db, nullptr,
-      profile);
+  return RunObserved(text_, physical_, args, db, nullptr, profile);
 }
 
 StatusOr<std::string> ParameterizedQuery::ExplainAnalyze(
     const Database& db, const std::vector<Value>& args) const {
   ExecProfile profile;
-  const AlgExpr* plan = nullptr;
-  auto answer = RunObserved(
-      *owner_, text_, nullptr, [&] { return PlanFor(args); }, db, nullptr,
-      &profile, &plan);
+  auto answer = RunWithProfile(db, args, &profile);
   if (!answer.ok()) return answer.status();
-  return RenderExplainAnalyze(AlgExprToString(owner_->ctx(), plan), *answer,
-                              profile);
+  return RenderExplainAnalyze(PlanString(), args, *answer, profile);
 }
 
 }  // namespace emcalc

@@ -7,22 +7,25 @@
 //   if (!q.ok()) { ... q.status().message() ... }
 //   auto answer = q->Run(db);
 //
-// One Compiler owns one AstContext; every CompiledQuery it produces remains
-// valid for the compiler's lifetime.
+// One Compiler owns one AstContext; every CompiledQuery and
+// ParameterizedQuery it produces remains valid for the compiler's lifetime.
+// Both kinds are translated and lowered to a physical plan once, at
+// compile time; a run only executes that plan.
 //
-// Thread safety, as it stands:
+// Thread safety:
 //   - Compiler (Compile, CompileQuery, CompileParameterized, DefineView,
 //     Analyze) is single-threaded: it grows the shared AstContext arena.
-//   - CompiledQuery::Run, RunWithProfile and ExplainAnalyze are safe to
-//     call from many threads at once, on one query and one shared
-//     `const Database&` (whose relations sort lazily, under a lock, on
-//     first read), with the query log and history store installed
-//     (tests/concurrency_test.cc, run under ThreadSanitizer in CI). The
-//     database must not be mutated while they run.
-//   - ParameterizedQuery::Run (and RunWithProfile / ExplainAnalyze) is
-//     NOT thread-safe: every call plans into the owning compiler's arena,
-//     which grows by about 2.2 KB per call and is never reclaimed while
-//     the compiler lives.
+//     ParameterizedQuery::PlanFor plans into that arena too, so it is
+//     single-threaded like the Compiler and must not overlap a compile.
+//   - CompiledQuery::Run, RunWithProfile and ExplainAnalyze, and
+//     ParameterizedQuery::Run, RunWithProfile and ExplainAnalyze, are safe
+//     to call from many threads at once, on one query (with any mix of
+//     arguments) and one shared `const Database&` (whose relations sort
+//     lazily, under a lock, on first read), with the query log and history
+//     store installed (tests/concurrency_test.cc, run under
+//     ThreadSanitizer in CI). They allocate nothing in the compiler's
+//     arena. Neither the database nor the compiler may be mutated while
+//     they run.
 #ifndef EMCALC_CORE_COMPILER_H_
 #define EMCALC_CORE_COMPILER_H_
 
@@ -45,6 +48,10 @@
 namespace emcalc {
 
 class Compiler;
+
+// A query's physical plan, lowered once at compile time and shared by every
+// run, or the lowering error each run reports.
+using LoweredPlan = StatusOr<std::shared_ptr<const PhysicalPlan>>;
 
 // Result of Compiler::Analyze — every front-end diagnostic for a query
 // (parse errors, lint findings, well-formedness errors, the safety blame
@@ -111,7 +118,7 @@ class CompiledQuery {
   friend class Compiler;
   CompiledQuery(const Compiler* owner, Query query, Translation translation,
                 obs::CompilePhase profile, std::string text,
-                std::shared_ptr<const PhysicalPlan> physical)
+                LoweredPlan physical)
       : owner_(owner), query_(std::move(query)),
         translation_(std::move(translation)), profile_(std::move(profile)),
         text_(std::move(text)), physical_(std::move(physical)) {}
@@ -121,9 +128,7 @@ class CompiledQuery {
   Translation translation_;
   obs::CompilePhase profile_;
   std::string text_;  // original query text (compile/run log correlation)
-  // Lowered once at compile time and shared by every Run; null when
-  // lowering failed (every run then re-lowers to surface the error).
-  std::shared_ptr<const PhysicalPlan> physical_;
+  LoweredPlan physical_;
 };
 
 // A query with host-program parameters — the paper's "em-allowed for X"
@@ -135,15 +140,20 @@ class CompiledQuery {
 //       "{e | EMP(e, d, s) and with_raise(s) <= cap}", {"d", "cap"});
 //   auto answer = q->Run(db, {Value::Int(3), Value::Int(90000)});
 //
-// Each Run substitutes the argument values as constants into the stored
-// RANF form (constant substitution preserves RANF relative to the empty
-// context), then generates, optimizes and lowers a fresh plan in the
-// compiler's arena — so calls are not thread-safe and grow the arena
-// (see the thread-safety notes at the top of this file).
+// CompileParameterized substitutes each parameter with a parameter term
+// $i (like a constant, it preserves RANF relative to the empty context),
+// then generates, optimizes and lowers one plan whose parameter slots
+// stand where the argument constants would be — the placeholder design:
+// values are bound at execution, never spliced into the plan. Each Run
+// binds its arguments into that cached physical plan, so calls allocate
+// nothing in the compiler's arena and may run concurrently (see the
+// thread-safety notes at the top of this file).
 class ParameterizedQuery {
  public:
   const std::vector<Symbol>& parameters() const { return params_; }
   const Query& query() const { return query_; }
+  // The cached plan, with parameter slots $1..$n for parameters().
+  std::string PlanString() const;
 
   // Executes with `args` bound to parameters() position-wise.
   StatusOr<Relation> Run(const Database& db, const std::vector<Value>& args,
@@ -157,21 +167,27 @@ class ParameterizedQuery {
                                     ExecProfile* profile) const;
 
   // EXPLAIN ANALYZE for one argument binding: executes against `db` and
-  // renders the generated plan plus the per-operator profile.
+  // renders the cached plan with its parameter slots, an `args:` line
+  // binding them, and the per-operator profile.
   StatusOr<std::string> ExplainAnalyze(const Database& db,
                                        const std::vector<Value>& args) const;
 
-  // The plan for given argument values (for inspection).
+  // The plan for given argument values, built by substituting them as
+  // constants into the RANF form and translating afresh: the substitution
+  // path that Run's answers are tested against. Plans into the compiler's
+  // arena, so it is single-threaded like the Compiler.
   StatusOr<const AlgExpr*> PlanFor(const std::vector<Value>& args) const;
 
  private:
   friend class Compiler;
   ParameterizedQuery(Compiler* owner, Query query, std::string text,
                      std::vector<Symbol> params, const Formula* ranf,
-                     std::map<Symbol, Symbol> inverses)
+                     std::map<Symbol, Symbol> inverses, const AlgExpr* plan,
+                     LoweredPlan physical)
       : owner_(owner), query_(std::move(query)), text_(std::move(text)),
         params_(std::move(params)), ranf_(ranf),
-        inverses_(std::move(inverses)) {}
+        inverses_(std::move(inverses)), plan_(plan),
+        physical_(std::move(physical)) {}
 
   Compiler* owner_;
   Query query_;  // head = output variables; body free vars = head + params
@@ -179,8 +195,10 @@ class ParameterizedQuery {
   // record, the history store and flight-recorder events alike.
   std::string text_;
   std::vector<Symbol> params_;
-  const Formula* ranf_;  // RANF for the context `params_`
+  const Formula* ranf_;  // RANF for the context `params_` (PlanFor)
   std::map<Symbol, Symbol> inverses_;  // declared function inverses
+  const AlgExpr* plan_;  // optimized, with parameter slots
+  LoweredPlan physical_;
 };
 
 // Parses, safety-checks, and translates queries. Not copyable or movable:

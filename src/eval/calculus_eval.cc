@@ -48,6 +48,13 @@ class CalculusEvaluator {
       }
       case Term::Kind::kConst:
         return ctx_.ConstantAt(t->const_id());
+      case Term::Kind::kParam:
+        // Parameter terms exist only between ParameterizedQuery's
+        // substitution and its algebra generation; the reference evaluator
+        // runs queries whose parameters were substituted as constants.
+        EMCALC_CHECK_MSG(false, "parameter term $%u reached the evaluator",
+                         t->param_index() + 1);
+        return Value();
       case Term::Kind::kApply: {
         std::vector<Value> args;
         args.reserve(t->args().size());

@@ -30,10 +30,13 @@
 namespace emcalc {
 
 // Lowers `plan` into an executable physical plan. `ctx` and `registry`
-// must outlive the returned plan.
+// must outlive the returned plan. `num_params` is the number of arguments
+// every execution binds: a parameterized query's count of parameters, 0
+// for a plan without parameter slots.
 StatusOr<PhysicalPlan> Lower(const AstContext& ctx, const AlgExpr* plan,
                              const FunctionRegistry& registry,
-                             const ExecOptions& options = {});
+                             const ExecOptions& options = {},
+                             size_t num_params = 0);
 
 }  // namespace emcalc
 

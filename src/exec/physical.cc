@@ -84,10 +84,10 @@ class JoinStage {
   // the joined row.
   JoinStage(const ScalarProgram* residual, size_t left_width,
             size_t right_width, Value* rows, size_t cap, BatchScratch& sc,
-            Relation& buf, uint64_t* fn_calls)
+            std::span<const Value> params, Relation& buf, uint64_t* fn_calls)
       : residual_(residual), left_width_(left_width),
         width_(left_width + right_width), rows_(rows), cap_(cap), sc_(sc),
-        buf_(buf), fn_calls_(fn_calls) {}
+        params_(params), buf_(buf), fn_calls_(fn_calls) {}
 
   void Add(const Value* a, const Value* b) {
     Value* row = rows_ + staged_ * width_;
@@ -109,7 +109,7 @@ class JoinStage {
     Selection sel = Selection::Dense(0, static_cast<uint32_t>(staged_));
     if (residual_ != nullptr) {
       sel = residual_->RunFilter(rows_, static_cast<int>(width_), sel, sc_,
-                                 fn_calls_);
+                                 params_, fn_calls_);
     }
     AppendSelected(rows_, width_, sel, sc_.row_staging(), buf_);
     staged_ = 0;
@@ -122,6 +122,7 @@ class JoinStage {
   Value* rows_;
   size_t cap_;
   BatchScratch& sc_;
+  std::span<const Value> params_;
   Relation& buf_;
   uint64_t* fn_calls_;
   size_t staged_ = 0;
@@ -182,6 +183,7 @@ const char* PhysOpKindName(PhysOpKind kind) {
 struct ExecContext {
   const PhysicalPlan& plan;
   const Database& db;
+  std::span<const Value> params;  // this execution's arguments
   std::vector<OpStats> stats;
   std::vector<std::optional<RelationPtr>> memo;
   size_t threads;  // effective worker cap, >= 1
@@ -191,8 +193,9 @@ struct ExecContext {
   obs::ResourceGovernor governor;
   std::vector<double> est;  // memoized per-op cardinality estimates
 
-  ExecContext(const PhysicalPlan& p, const Database& d)
-      : plan(p), db(d), stats(p.ops_.size()),
+  ExecContext(const PhysicalPlan& p, const Database& d,
+              std::span<const Value> args)
+      : plan(p), db(d), params(args), stats(p.ops_.size()),
         memo(static_cast<size_t>(p.num_memo_slots_)),
         threads(p.options_.num_threads == 0 ? ThreadPool::HardwareThreads()
                                             : p.options_.num_threads),
@@ -441,8 +444,8 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
           Value* keys = build_keys.data() + b * nk;
           op->build_program->RunProject(
               build_data, build.arity(),
-              Selection::Dense(static_cast<uint32_t>(b), count), sc, keys,
-              &ws.function_calls);
+              Selection::Dense(static_cast<uint32_t>(b), count), sc, params,
+              keys, &ws.function_calls);
           for (uint32_t i = 0; i < count; ++i) {
             build_hash[b + i] = KeyHash(keys + i * nk, nk);
           }
@@ -540,13 +543,13 @@ StatusOr<ExecContext::Value_> ExecContext::RunHashJoin(const PhysicalOp* op,
         Value* keys = probe_keys.data() + worker * batch * nk;
         JoinStage stage(residual, left_width, right_width,
                         joined.data() + worker * stage_cap * width, stage_cap,
-                        sc, buf, &ws.function_calls);
+                        sc, params, buf, &ws.function_calls);
         for (size_t b = begin; b < end; b += batch) {
           const auto count = static_cast<uint32_t>(std::min(batch, end - b));
           op->program->RunProject(
               probe_data, probe.arity(),
-              Selection::Dense(static_cast<uint32_t>(b), count), sc, keys,
-              &ws.function_calls);
+              Selection::Dense(static_cast<uint32_t>(b), count), sc, params,
+              keys, &ws.function_calls);
           for (uint32_t i = 0; i < count; ++i) {
             const Value* key = keys + i * nk;
             const Value* a = probe_data + (b + i) * left_width;
@@ -604,7 +607,7 @@ ExecContext::Value_ ExecContext::RunNestedLoopJoin(const PhysicalOp* op,
       [&](size_t worker, size_t begin, size_t end, Relation& buf) {
         JoinStage stage(residual, left_width, right_width,
                         joined.data() + worker * stage_cap * width, stage_cap,
-                        batch_scratch[worker], buf,
+                        batch_scratch[worker], params, buf,
                         &shards[worker].function_calls);
         for (size_t i = begin; i < end; ++i) {
           if ((i & 255u) == 0 && governor.Check()) return;
@@ -659,12 +662,12 @@ ExecContext::Value_ ExecContext::RunProject(const PhysicalOp* op,
           if (cond != nullptr) {
             OpStats& wf = fshards[worker];
             sel = cond->RunFilter(data, in_arity, sel, fscratch[worker],
-                                  &wf.function_calls);
+                                  params, &wf.function_calls);
             ++wf.batches;
             wf.batch_rows += count;
             wf.batch_sel_rows += sel.size();
           }
-          proj.RunProject(data, in_arity, sel, ps, ps.row_staging(),
+          proj.RunProject(data, in_arity, sel, ps, params, ps.row_staging(),
                           &ws.function_calls);
           buf.AppendRows(ps.row_staging(), sel.size());
           ++ws.batches;
@@ -715,7 +718,7 @@ ExecContext::Value_ ExecContext::RunFilter(const PhysicalOp* op,
           const auto count = static_cast<uint32_t>(std::min(bsz, end - b));
           Selection sel = cond.RunFilter(
               data, in_arity,
-              Selection::Dense(static_cast<uint32_t>(b), count), sc,
+              Selection::Dense(static_cast<uint32_t>(b), count), sc, params,
               &ws.function_calls);
           AppendSelected(data, width, sel, sc.row_staging(), buf);
           ws.tuple_copies += sel.size();
@@ -1164,7 +1167,8 @@ StatusOr<ExecProfile> ExecProfileFromJson(std::string_view json) {
 }
 
 StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
-    const Database& db, ExecProfile* profile) const {
+    const Database& db, ExecProfile* profile,
+    std::span<const Value> params) const {
   obs::Span span("exec.execute");
   if (span.enabled()) {
     span.SetDetail("ops=" + std::to_string(ops_.size()));
@@ -1172,6 +1176,12 @@ StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
   static obs::Counter& executions =
       obs::MetricsRegistry::Instance().GetCounter("exec.plan_executions");
   executions.Add();
+  // Parameter slots index `params` unchecked in the batch kernels.
+  if (params.size() != num_params_) {
+    return InvalidArgumentError(
+        "expected " + std::to_string(num_params_) + " arguments, got " +
+        std::to_string(params.size()));
+  }
   // Validate every Scan binding up front so a broken plan fails before any
   // operator runs (mirrors the legacy evaluator's Validate pass).
   for (const std::unique_ptr<PhysicalOp>& op : ops_) {
@@ -1185,7 +1195,7 @@ StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
           std::to_string((*rel)->arity()));
     }
   }
-  ExecContext exec(*this, db);
+  ExecContext exec(*this, db, params);
   exec.EstimateRows(root_);  // pre-execution estimates for every op
   auto result = exec.Run(root_);
   // Fold per-op memory slots and estimates into the stats before the
@@ -1219,8 +1229,9 @@ StatusOr<PhysicalPlan::Result> PhysicalPlan::Execute(
 }
 
 StatusOr<Relation> PhysicalPlan::ExecuteToRelation(
-    const Database& db, ExecProfile* profile) const {
-  auto result = Execute(db, profile);
+    const Database& db, ExecProfile* profile,
+    std::span<const Value> params) const {
+  auto result = Execute(db, profile, params);
   if (!result.ok()) return result.status();
   if (result->owned != nullptr) return std::move(*result->owned);
   return *result->relation;  // borrowed (scan/materialized): copy out

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -245,6 +246,9 @@ struct PhysicalOp {
 // An executable physical plan: the lowered operator DAG plus everything
 // resolved at lowering time (scalar function bindings, constants). The
 // AstContext and FunctionRegistry passed to Lower() must outlive the plan.
+// A parameterized query's plan holds parameter slots instead of argument
+// constants; each execution binds its own argument values, so one plan
+// serves every call.
 class PhysicalPlan {
  public:
   PhysicalPlan() = default;
@@ -262,22 +266,28 @@ class PhysicalPlan {
     std::shared_ptr<Relation> owned;
   };
 
-  // Executes against `db`. Scan bindings (relation existence and arity)
-  // are validated before any operator runs. When `profile` is non-null it
-  // is overwritten with this execution's per-operator statistics tree.
-  StatusOr<Result> Execute(const Database& db,
-                           ExecProfile* profile = nullptr) const;
+  // Executes against `db` with `params` bound to the plan's parameter
+  // slots ($1 = params[0], ...). The argument count (it must equal
+  // num_params()) and the Scan bindings (relation existence and arity) are
+  // validated before any operator runs. When `profile` is non-null it is
+  // overwritten with this execution's per-operator statistics tree.
+  StatusOr<Result> Execute(const Database& db, ExecProfile* profile = nullptr,
+                           std::span<const Value> params = {}) const;
 
   // Convenience: execute and return the answer by value (moving when the
   // result is exclusively owned).
-  StatusOr<Relation> ExecuteToRelation(const Database& db,
-                                       ExecProfile* profile = nullptr) const;
+  StatusOr<Relation> ExecuteToRelation(
+      const Database& db, ExecProfile* profile = nullptr,
+      std::span<const Value> params = {}) const;
 
   const PhysicalOp* root() const { return root_; }
   int NumOperators() const { return static_cast<int>(ops_.size()); }
   // Materialize cache slots allocated at lowering time; every Materialize
   // op's memo_slot must be a distinct index in [0, NumMemoSlots()).
   int NumMemoSlots() const { return num_memo_slots_; }
+  // Parameter slots the plan was lowered for: every execution binds
+  // exactly this many arguments, and every slot's index is below it.
+  size_t num_params() const { return num_params_; }
   // The constant pool kConst expressions resolve against (null only on a
   // default-constructed plan).
   const AstContext* ctx() const { return ctx_; }
@@ -296,6 +306,7 @@ class PhysicalPlan {
   const FunctionRegistry* registry_ = nullptr;  // AdomScan term closures
   std::unordered_map<Symbol, const ScalarFunction*> fns_;
   int num_memo_slots_ = 0;
+  size_t num_params_ = 0;
   ExecOptions options_;
 };
 

@@ -129,6 +129,23 @@ class ScalarProgram::Builder {
       }
       case ScalarExpr::Kind::kConst:
         return EmitConst(ctx_.ConstantAt(e->const_id()));
+      case ScalarExpr::Kind::kParam: {
+        // Not entered in const_regs_: the value is bound per execution,
+        // so applications over it are never folded.
+        std::string key = "p" + std::to_string(e->param());
+        if (auto it = numbers_.find(key); it != numbers_.end()) {
+          return it->second;
+        }
+        uint16_t r = NewReg();
+        Insn insn;
+        insn.op = Insn::Op::kParam;
+        insn.dst = r;
+        insn.col = static_cast<int>(e->param());
+        stage().insns.push_back(std::move(insn));
+        numbers_.emplace(std::move(key), r);
+        prog_->params_read_ = std::max(prog_->params_read_, e->param() + 1);
+        return r;
+      }
       case ScalarExpr::Kind::kApply: {
         std::vector<uint16_t> args;
         args.reserve(e->args().size());
@@ -240,6 +257,7 @@ ScalarProgram ScalarProgram::CompileFilter(
 
 void ScalarProgram::RunInsns(const Stage& stage, const Value* input,
                              int arity, Selection sel, BatchScratch& scratch,
+                             std::span<const Value> params,
                              uint64_t* fn_calls) const {
   const uint32_t n = sel.size();
   const size_t stride = scratch.batch_size_;
@@ -254,6 +272,11 @@ void ScalarProgram::RunInsns(const Stage& stage, const Value* input,
       case Insn::Op::kConst:
         for (uint32_t i = 0; i < n; ++i) dst[i] = insn.constant;
         break;
+      case Insn::Op::kParam: {
+        const Value v = params[static_cast<size_t>(insn.col)];
+        for (uint32_t i = 0; i < n; ++i) dst[i] = v;
+        break;
+      }
       case Insn::Op::kCall: {
         const size_t nargs = insn.args.size();
         *fn_calls += n;  // one application per lane
@@ -295,11 +318,12 @@ void ScalarProgram::RunInsns(const Stage& stage, const Value* input,
 
 Selection ScalarProgram::RunFilter(const Value* input, int arity,
                                    Selection sel, BatchScratch& scratch,
+                                   std::span<const Value> params,
                                    uint64_t* fn_calls) const {
   const size_t stride = scratch.batch_size_;
   for (const Stage& stage : stages_) {
     if (sel.empty()) break;
-    RunInsns(stage, input, arity, sel, scratch, fn_calls);
+    RunInsns(stage, input, arity, sel, scratch, params, fn_calls);
     if (!stage.has_cmp) continue;
     const Value* l = scratch.regs_.data() +
                      static_cast<size_t>(stage.lhs) * stride;
@@ -383,10 +407,11 @@ Selection ScalarProgram::RunFilter(const Value* input, int arity,
 }
 
 void ScalarProgram::RunProject(const Value* input, int arity, Selection sel,
-                               BatchScratch& scratch, Value* dst,
+                               BatchScratch& scratch,
+                               std::span<const Value> params, Value* dst,
                                uint64_t* fn_calls) const {
   if (!stages_.empty()) {
-    RunInsns(stages_.front(), input, arity, sel, scratch, fn_calls);
+    RunInsns(stages_.front(), input, arity, sel, scratch, params, fn_calls);
   }
   // Transpose the output registers row-major into `dst`, ready for a bulk
   // append into an arity-strided relation buffer.

@@ -5,10 +5,13 @@
 // residual conditions — is compiled once into a flat register program;
 // it is the engine's only scalar evaluator. Registers are column slices
 // (one Value per active lane of the current batch); instructions gather
-// an input column, splat a constant, or apply a bound ScalarFunction to
-// argument registers. Compilation performs
+// an input column, splat a constant, splat one of the execution's
+// parameter values, or apply a bound ScalarFunction to argument registers.
+// Compilation performs
 //   - constant folding: an application whose arguments are all constants
-//     runs once at compile time (registry functions are pure and total),
+//     runs once at compile time (registry functions are pure and total);
+//     a parameter is not a constant here, so an application over one runs
+//     per batch with the value bound at execution,
 //   - common-subexpression elimination: structurally equal subtrees within
 //     a stage share one register, so an expression repeated across output
 //     columns is computed once per batch,
@@ -111,30 +114,37 @@ class ScalarProgram {
   // Comparison stages: one per compiled condition (0 for a projection).
   size_t num_cmp_stages() const;
 
+  // One past the largest parameter index the program reads (0 when it
+  // reads none); an execution must bind at least this many arguments
+  // (VerifyPhysical rule phys.param).
+  uint32_t params_read() const { return params_read_; }
+
   // Filter form: runs the staged conditions over the `sel` rows of the
   // arity-strided `input` buffer. The returned Selection (backed by
   // scratch) holds the surviving absolute row indexes, ascending.
-  // `fn_calls` accumulates one count per lane per function application,
-  // matching the legacy interpreter's accounting.
+  // `params` are the execution's argument values, read by parameter
+  // slots. `fn_calls` accumulates one count per lane per function
+  // application, matching the legacy interpreter's accounting.
   Selection RunFilter(const Value* input, int arity, Selection sel,
-                      BatchScratch& scratch, uint64_t* fn_calls) const;
+                      BatchScratch& scratch, std::span<const Value> params,
+                      uint64_t* fn_calls) const;
 
   // Projection form: evaluates every output column over the `sel` rows of
   // `input` and writes the results row-major to `dst` (sel.size() rows of
   // num_outputs() values) — the scratch staging area for a ProjectMap, the
   // key arrays for a HashJoin.
   void RunProject(const Value* input, int arity, Selection sel,
-                  BatchScratch& scratch, Value* dst,
-                  uint64_t* fn_calls) const;
+                  BatchScratch& scratch, std::span<const Value> params,
+                  Value* dst, uint64_t* fn_calls) const;
 
  private:
   friend class BatchScratch;
 
   struct Insn {
-    enum class Op : uint8_t { kLoadCol, kConst, kCall };
+    enum class Op : uint8_t { kLoadCol, kConst, kCall, kParam };
     Op op = Op::kLoadCol;
     uint16_t dst = 0;
-    int col = 0;                          // kLoadCol
+    int col = 0;                          // kLoadCol; kParam: arg index
     Value constant;                       // kConst
     const ScalarFunction* fn = nullptr;   // kCall, resolved at compile
     std::vector<uint16_t> args;           // kCall argument registers
@@ -155,11 +165,12 @@ class ScalarProgram {
 
   void RunInsns(const Stage& stage, const Value* input, int arity,
                 Selection sel, BatchScratch& scratch,
-                uint64_t* fn_calls) const;
+                std::span<const Value> params, uint64_t* fn_calls) const;
 
   std::vector<Stage> stages_;
   std::vector<uint16_t> outputs_;  // projection registers, one per column
   int num_regs_ = 0;
+  uint32_t params_read_ = 0;
   bool needs_order_keys_ = false;  // any kLt/kLe stage
   bool has_cmp_stage_ = false;     // filter form (needs sel_ storage)
 };

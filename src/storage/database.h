@@ -12,6 +12,12 @@ namespace emcalc {
 
 // Relations are keyed by name (strings, so a Database is independent of any
 // AstContext's symbol table).
+//
+// Thread safety: const access is safe from many threads at once — any
+// number of CompiledQuery / ParameterizedQuery runs may share one
+// `const Database&` (a relation's lazy first sort is taken under a lock;
+// see FlatRelation::Normalize). Mutation (AddRelation, Insert, assignment)
+// is not synchronized: it must not overlap any other access.
 class Database {
  public:
   Database() = default;

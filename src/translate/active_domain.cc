@@ -44,6 +44,8 @@ class AdomTranslator {
       }
       case Term::Kind::kConst:
         return ef.Const(t->const_id());
+      case Term::Kind::kParam:
+        return ef.Param(t->param_index());
       case Term::Kind::kApply: {
         std::vector<const ScalarExpr*> args;
         for (const Term* a : t->args()) {

@@ -35,6 +35,8 @@ StatusOr<const ScalarExpr*> AlgebraGenerator::CompileTerm(
     }
     case Term::Kind::kConst:
       return ef.Const(t->const_id());
+    case Term::Kind::kParam:
+      return ef.Param(t->param_index());
     case Term::Kind::kApply: {
       std::vector<const ScalarExpr*> args;
       args.reserve(t->args().size());

@@ -67,6 +67,8 @@ constexpr MutationInfo kMutations[] = {
     {Mutation::kPhysDropChild, "phys-drop-child", "phys.children"},
     {Mutation::kPhysJoinStaleKeyProgram, "phys-join-stale-key-program",
      "phys.program"},
+    {Mutation::kPhysParamOutOfRange, "phys-param-out-of-range",
+     "phys.param"},
 };
 
 const MutationInfo& Info(Mutation m) {
@@ -393,6 +395,12 @@ bool PlanMutator::Corrupt(PhysicalPlan& plan, Mutation m) {
       PhysicalOp* op = find(PhysOpKind::kHashJoin);
       if (op == nullptr) return false;
       op->program = std::make_shared<const ScalarProgram>();
+      return true;
+    }
+    case Mutation::kPhysParamOutOfRange: {
+      PhysicalOp* op = find(PhysOpKind::kProjectMap);
+      if (op == nullptr || op->exprs.empty()) return false;
+      op->exprs[0] = exprs.Param(static_cast<uint32_t>(plan.num_params_));
       return true;
     }
     default:

@@ -59,11 +59,12 @@ enum class Mutation : uint8_t {
   kPhysDuplicateOpId,      // two operators share a stats/memory slot id
   kPhysDropChild,          // unary operator loses its input
   kPhysJoinStaleKeyProgram,  // HashJoin probe-key program out of sync
+  kPhysParamOutOfRange,    // expression reads a parameter the plan lacks
 };
 
 // First and last enumerators, for iteration in the harness.
 inline constexpr Mutation kFirstMutation = Mutation::kAlgProjectArityUp;
-inline constexpr Mutation kLastMutation = Mutation::kPhysJoinStaleKeyProgram;
+inline constexpr Mutation kLastMutation = Mutation::kPhysParamOutOfRange;
 
 // Stable display name, e.g. "alg-project-arity-up".
 const char* MutationName(Mutation m);

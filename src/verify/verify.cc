@@ -161,6 +161,7 @@ struct ScalarScan {
   int max_col = -1;            // largest column referenced, -1 if none
   uint32_t bad_const = 0;      // an out-of-range constant-pool id
   bool has_bad_const = false;
+  int64_t max_param = -1;      // largest parameter index, -1 if none
 };
 
 void ScanScalar(const ScalarExpr* e, const AstContext& ctx, ScalarScan& out) {
@@ -178,6 +179,9 @@ void ScanScalar(const ScalarExpr* e, const AstContext& ctx, ScalarScan& out) {
         out.has_bad_const = true;
         out.bad_const = e->const_id();
       }
+      break;
+    case ScalarExpr::Kind::kParam:
+      out.max_param = std::max<int64_t>(out.max_param, e->param());
       break;
     case ScalarExpr::Kind::kApply:
       for (const ScalarExpr* a : e->args()) ScanScalar(a, ctx, out);
@@ -253,6 +257,8 @@ class FormulaChecker {
               "term references constant-pool id " +
                   std::to_string(t->const_id()) + " beyond the pool");
         }
+        break;
+      case Term::Kind::kParam:
         break;
       case Term::Kind::kApply: {
         int arity = static_cast<int>(t->args().size());
@@ -629,6 +635,19 @@ class PhysicalChecker {
     ScalarScan scan;
     ScanScalar(e, ctx(), scan);
     ReportScalar(report_, scan, input_arity, path, what, /*physical=*/true);
+    CheckParams(scan, path, what);
+  }
+
+  // A parameter slot reads the execution's argument vector unchecked, and
+  // an execution binds exactly num_params() arguments.
+  void CheckParams(const ScalarScan& scan, const PathNode& path,
+                   const Label& what) {
+    if (scan.max_param >= static_cast<int64_t>(plan_.num_params())) {
+      Add(report_, "phys.param", path,
+          what.Str() + " reads parameter $" +
+              std::to_string(scan.max_param + 1) + " but the plan binds " +
+              std::to_string(plan_.num_params()) + " argument(s)");
+    }
   }
 
   void Walk(const PhysicalOp* op, const PathNode& path) {
@@ -767,6 +786,8 @@ class PhysicalChecker {
                        Label{"key ", idx, " left side"}, /*physical=*/true);
           ReportScalar(report_, r, combined, path,
                        Label{"key ", idx, " right side"}, /*physical=*/true);
+          CheckParams(l, path, Label{"key ", idx, " left side"});
+          CheckParams(r, path, Label{"key ", idx, " right side"});
           if (l.max_col >= op->split) {
             Add(report_, "phys.key-side", path,
                 Label{"key ", idx}.Str() +
@@ -866,6 +887,12 @@ class PhysicalChecker {
               std::to_string(prog->num_cmp_stages()) +
               " comparison stage(s), expected " + std::to_string(outputs) +
               " and " + std::to_string(stages));
+    }
+    if (prog->params_read() > plan_.num_params()) {
+      Add(report_, "phys.param", path,
+          std::string(what) + " program reads parameter $" +
+              std::to_string(prog->params_read()) + " but the plan binds " +
+              std::to_string(plan_.num_params()) + " argument(s)");
     }
   }
 

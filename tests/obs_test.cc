@@ -573,21 +573,24 @@ TEST_F(ObsEndToEndTest, QueryLogRecordsCompileAndRunWithSharedHash) {
   EXPECT_FALSE(compiles[1].error.empty());
 
   // The parameterized compile record goes through the same helper as a
-  // plain compile: it carries the safety and RANF figures and the phase
-  // breakdown (its plan is built per call, so it has no plan_nodes).
+  // plain compile: it carries the safety and RANF figures, the phase
+  // breakdown, and the size of the plan built once at compile time.
   EXPECT_TRUE(compiles[2].ok);
   EXPECT_TRUE(compiles[2].em_allowed);
   EXPECT_EQ(compiles[2].query_hash, obs::HashQueryText(param_text));
   EXPECT_GT(compiles[2].find_count, 0);
   EXPECT_GT(compiles[2].ranf_size, 0);
+  EXPECT_GT(compiles[2].plan_nodes, 0);
   EXPECT_FALSE(compiles[2].phase_ns.empty());
   EXPECT_TRUE(runs[1].ok);
   EXPECT_EQ(runs[1].rows_out, 1u);  // EDGE(1, 2)
   EXPECT_EQ(runs[1].query_hash, compiles[2].query_hash);
 }
 
-// ExplainAnalyze renders the plan that ran: it plans once per call, so it
-// grows the compiler's arena exactly as much as one RunWithProfile.
+// The plan is built once, at compile time: after a first call, Run,
+// RunWithProfile and ExplainAnalyze grow the compiler's arena by nothing,
+// and ExplainAnalyze renders the cached plan with its parameter slot plus
+// the arguments bound to it.
 TEST_F(ObsEndToEndTest, ParameterizedExplainAnalyzePlansOnce) {
   auto q = compiler_.CompileParameterized("{y | EDGE(x, y)}", {"x"});
   ASSERT_TRUE(q.ok()) << q.status().ToString();
@@ -595,18 +598,25 @@ TEST_F(ObsEndToEndTest, ParameterizedExplainAnalyzePlansOnce) {
   const Arena& arena = compiler_.ctx().arena();
   ExecProfile warm;
   ASSERT_TRUE(q->RunWithProfile(db_, args, &warm).ok());
+  ASSERT_TRUE(q->Run(db_, args).ok());
+  ASSERT_TRUE(q->ExplainAnalyze(db_, args).ok());
 
   size_t before = arena.bytes_allocated();
+  ASSERT_TRUE(q->Run(db_, args).ok());
+  EXPECT_EQ(arena.bytes_allocated() - before, 0u);
+
+  before = arena.bytes_allocated();
   ExecProfile profile;
   ASSERT_TRUE(q->RunWithProfile(db_, args, &profile).ok());
-  const size_t run_growth = arena.bytes_allocated() - before;
-  EXPECT_GT(run_growth, 0u);
+  EXPECT_EQ(arena.bytes_allocated() - before, 0u);
 
   before = arena.bytes_allocated();
   auto explain = q->ExplainAnalyze(db_, args);
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
-  EXPECT_EQ(arena.bytes_allocated() - before, run_growth);
+  EXPECT_EQ(arena.bytes_allocated() - before, 0u);
   EXPECT_NE(explain->find("plan: "), std::string::npos) << *explain;
+  EXPECT_NE(explain->find("$1"), std::string::npos) << *explain;
+  EXPECT_NE(explain->find("\nargs: $1=2\n"), std::string::npos) << *explain;
   EXPECT_NE(explain->find("answer rows: 1"), std::string::npos) << *explain;
 }
 
@@ -772,7 +782,7 @@ TEST(ThreadPoolTelemetryTest, WorkerTelemetryAccumulatesAndRendersAsJson) {
         /*total=*/100'000, /*grain=*/64, /*max_workers=*/4,
         [](size_t /*worker*/, size_t begin, size_t end) {
           volatile uint64_t sink = 0;
-          for (size_t i = begin; i < end; ++i) sink += i;
+          for (size_t i = begin; i < end; ++i) sink = sink + i;
         });
     worker_morsels = 0;
     for (const ThreadPool::WorkerTelemetry& w :
