@@ -386,7 +386,8 @@ Status CheckWellFormed(const Formula* f, const SymbolTable& symbols) {
   return CheckNode(f, symbols, rel_arity, fn_arity, in_scope);
 }
 
-Status CheckWellFormed(const Query& q, const SymbolTable& symbols) {
+Status CheckWellFormed(const Query& q, const SymbolTable& symbols,
+                       const std::vector<Symbol>& params) {
   Status s = CheckWellFormed(q.body, symbols);
   if (!s.ok()) return s;
   SymbolSet free = FreeVars(q.body);
@@ -394,10 +395,23 @@ Status CheckWellFormed(const Query& q, const SymbolTable& symbols) {
   if (head.size() != q.head.size()) {
     return InvalidArgumentError("duplicate variable in query head");
   }
-  if (free != head) {
+  SymbolSet param_set(params);
+  if (param_set.size() != params.size()) {
+    return InvalidArgumentError("duplicate parameter name");
+  }
+  if (head.Intersects(param_set)) {
+    return InvalidArgumentError("head variable is also a parameter");
+  }
+  if (free != head.Union(param_set)) {
+    std::string listed = "head " + head.ToString(symbols);
+    if (!params.empty()) {
+      listed += " + parameters " + param_set.ToString(symbols);
+    }
     return InvalidArgumentError(
-        "query head must list exactly the free variables of the body; head " +
-        head.ToString(symbols) + " vs free " + free.ToString(symbols));
+        std::string(params.empty() ? "query head"
+                                   : "query head and parameters") +
+        " must list exactly the free variables of the body; " + listed +
+        " vs free " + free.ToString(symbols));
   }
   return Status::Ok();
 }

@@ -64,8 +64,12 @@ std::vector<uint32_t> CollectConstants(const Formula* f);
 // rectifier both establish this form).
 Status CheckWellFormed(const Formula* f, const SymbolTable& symbols);
 
-// Query-level check: head variables are exactly distinct and free in body.
-Status CheckWellFormed(const Query& q, const SymbolTable& symbols);
+// Query-level check for a query with host-program parameters `params`
+// (none for a closed query): the body is well-formed, the head and the
+// parameters are each duplicate-free and disjoint, and together they are
+// exactly the body's free variables.
+Status CheckWellFormed(const Query& q, const SymbolTable& symbols,
+                       const std::vector<Symbol>& params = {});
 
 }  // namespace emcalc
 

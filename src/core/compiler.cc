@@ -25,7 +25,6 @@
 #include "src/obs/query_log.h"
 #include "src/obs/trace.h"
 #include "src/translate/algebra_gen.h"
-#include "src/translate/ranf.h"
 #include "src/verify/verify.h"
 
 namespace emcalc {
@@ -73,16 +72,6 @@ struct RunMetrics {
 bool LintToLogEnabled() {
   const char* v = std::getenv("EMCALC_LINT");
   return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-}
-
-// Effective bd options: fold declared inverses into the FinD analysis
-// (mirrors TranslateQuery).
-BoundOptions EffectiveBound(const TranslateOptions& options) {
-  BoundOptions bound = options.bound;
-  for (const auto& [fn, inv] : options.inverse_fns) {
-    bound.invertible_fns.Insert(fn);
-  }
-  return bound;
 }
 
 // Effective worker count of an execution: ExecOptions::num_threads with
@@ -322,44 +311,7 @@ Compiler::Compiler(FunctionRegistry functions)
 StatusOr<CompiledQuery> Compiler::Compile(std::string_view text,
                                           const TranslateOptions& options) {
   obs::Span span("compile");
-  uint64_t start_ns = obs::NowNs();
-  obs::CompilePhase profile;
-  profile.name = "compile";
-  ParseErrorInfo parse_error;
-  StatusOr<Query> q = [&] {
-    obs::PhaseTimer timer(&profile, "parse", "compile.parse");
-    return ParseQuery(*ctx_, text, &parse_error);
-  }();
-  if (!q.ok()) {
-    CompileMetrics::Get().queries.Add();
-    CompileMetrics::Get().errors.Add();
-    profile.wall_ns = obs::NowNs() - start_ns;
-    std::vector<diag::Diagnostic> diags;
-    if (LintToLogEnabled()) {
-      diags.push_back(MakeParseDiagnostic(parse_error));
-    }
-    LogCompile(std::string(text), q.status(), profile, nullptr, nullptr,
-               std::move(diags));
-    return q.status();
-  }
-  // Stage boundary 1: the parsed tree. Parsed (as opposed to
-  // programmatically built) queries must carry source spans throughout.
-  if (verify::Enabled()) {
-    verify::VerifyReport vr =
-        verify::VerifyCalculus(*ctx_, *q, /*require_spans=*/true);
-    if (!vr.ok()) {
-      CompileMetrics::Get().queries.Add();
-      CompileMetrics::Get().errors.Add();
-      profile.wall_ns = obs::NowNs() - start_ns;
-      Status status = vr.ToStatus();
-      LogCompile(std::string(text), status, profile, nullptr, &*q,
-                 LintToLogEnabled() ? vr.ToDiagnostics()
-                                    : std::vector<diag::Diagnostic>{});
-      return status;
-    }
-  }
-  return CompileImpl(*q, options, std::move(profile), start_ns,
-                     std::string(text));
+  return CompileText(text, {}, options);
 }
 
 Status Compiler::DefineView(std::string_view name,
@@ -380,35 +332,52 @@ Status Compiler::DefineView(std::string_view name,
 StatusOr<CompiledQuery> Compiler::CompileQuery(
     const Query& q, const TranslateOptions& options) {
   obs::Span span("compile");
-  uint64_t start_ns = obs::NowNs();
+  const uint64_t start_ns = obs::NowNs();
   obs::CompilePhase profile;
   profile.name = "compile";
-  // Stage boundary 1 for programmatically built queries; these carry no
-  // source text, so spans are not required.
-  if (verify::Enabled()) {
-    verify::VerifyReport vr =
-        verify::VerifyCalculus(*ctx_, q, /*require_spans=*/false);
-    if (!vr.ok()) {
-      CompileMetrics::Get().queries.Add();
-      CompileMetrics::Get().errors.Add();
-      return vr.ToStatus();
-    }
-  }
-  return CompileImpl(q, options, std::move(profile), start_ns,
-                     QueryToString(*ctx_, q));
+  return CompileImpl(q, {}, options, std::move(profile), start_ns,
+                     QueryToString(*ctx_, q), /*parsed=*/false);
 }
 
-StatusOr<CompiledQuery> Compiler::CompileImpl(const Query& q,
-                                              const TranslateOptions& options,
-                                              obs::CompilePhase profile,
-                                              uint64_t start_ns,
-                                              std::string text) {
+StatusOr<CompiledQuery> Compiler::CompileText(
+    std::string_view text, const std::vector<Symbol>& params,
+    const TranslateOptions& options) {
+  const uint64_t start_ns = obs::NowNs();
+  obs::CompilePhase profile;
+  profile.name = "compile";
+  ParseErrorInfo parse_error;
+  StatusOr<Query> q = [&] {
+    obs::PhaseTimer timer(&profile, "parse", "compile.parse");
+    return ParseQuery(*ctx_, text, &parse_error);
+  }();
+  if (!q.ok()) {
+    CompileMetrics::Get().queries.Add();
+    CompileMetrics::Get().errors.Add();
+    profile.wall_ns = obs::NowNs() - start_ns;
+    std::vector<diag::Diagnostic> diags;
+    if (LintToLogEnabled()) {
+      diags.push_back(MakeParseDiagnostic(parse_error));
+    }
+    LogCompile(std::string(text), q.status(), profile, nullptr, nullptr,
+               std::move(diags));
+    return q.status();
+  }
+  // The bare-formula form puts every free variable in the head;
+  // parameters are outputs of neither form.
+  std::erase_if(q->head, [&](Symbol v) {
+    return std::find(params.begin(), params.end(), v) != params.end();
+  });
+  return CompileImpl(*q, params, options, std::move(profile), start_ns,
+                     std::string(text), /*parsed=*/true);
+}
+
+StatusOr<CompiledQuery> Compiler::CompileImpl(
+    const Query& q, const std::vector<Symbol>& params,
+    const TranslateOptions& options, obs::CompilePhase profile,
+    uint64_t start_ns, std::string text, bool parsed) {
   CompileMetrics::Get().queries.Add();
-  // With EMCALC_LINT=1 every compile record carries the lint findings for
-  // the query as written (pre-expansion, so spans point at the source).
   std::vector<diag::Diagnostic> log_diags;
   const bool lint_to_log = LintToLogEnabled() && obs::GetQueryLog() != nullptr;
-  if (lint_to_log) log_diags = diag::LintQuery(*ctx_, q);
   auto fail = [&](const Status& status,
                   const Translation* t) -> StatusOr<CompiledQuery> {
     CompileMetrics::Get().errors.Add();
@@ -416,6 +385,20 @@ StatusOr<CompiledQuery> Compiler::CompileImpl(const Query& q,
     LogCompile(text, status, profile, t, &q, std::move(log_diags));
     return status;
   };
+
+  // Stage boundary 1: the calculus tree. Parsed (as opposed to
+  // programmatically built) queries must carry source spans throughout.
+  if (verify::Enabled()) {
+    verify::VerifyReport vr =
+        verify::VerifyCalculus(*ctx_, q, /*require_spans=*/parsed);
+    if (!vr.ok()) {
+      if (lint_to_log) log_diags = vr.ToDiagnostics();
+      return fail(vr.ToStatus(), nullptr);
+    }
+  }
+  // With EMCALC_LINT=1 every compile record carries the lint findings for
+  // the query as written (pre-expansion, so spans point at the source).
+  if (lint_to_log) log_diags = diag::LintQuery(*ctx_, q);
 
   Query expanded = q;
   {
@@ -427,9 +410,10 @@ StatusOr<CompiledQuery> Compiler::CompileImpl(const Query& q,
 
   // TranslateQuery emits its own "compile.translate" span; time the phase
   // here without a second span and graft the translation's phase tree
-  // (safety, ENF, RANF, algebra_gen, optimize) under this node.
+  // (rectify, safety, ENF, RANF, algebra_gen, optimize) under this node.
   uint64_t translate_start = obs::NowNs();
-  StatusOr<Translation> translation = TranslateQuery(*ctx_, expanded, options);
+  StatusOr<Translation> translation =
+      TranslateQuery(*ctx_, expanded, options, params);
   {
     profile.children.emplace_back();
     obs::CompilePhase& phase = profile.children.back();
@@ -450,9 +434,9 @@ StatusOr<CompiledQuery> Compiler::CompileImpl(const Query& q,
     if (lint_to_log && translation.status().code() == StatusCode::kNotSafe) {
       // Re-run the safety check to attach the structured blame trace; the
       // bd sets are memoized per formula, so this costs one extra closure.
-      Query rectified{expanded.head, Rectify(*ctx_, expanded.body)};
       EmAllowedChecker checker(*ctx_, EffectiveBound(options));
-      SafetyResult safety = checker.Check(rectified);
+      SafetyResult safety = checker.CheckFormula(
+          Rectify(*ctx_, expanded.body), SymbolSet(params));
       if (!safety.em_allowed) {
         log_diags.push_back(
             diag::BuildSafetyBlame(*ctx_, checker.bound(), safety));
@@ -461,8 +445,8 @@ StatusOr<CompiledQuery> Compiler::CompileImpl(const Query& q,
     return fail(translation.status(), nullptr);
   }
 
-  LoweredPlan physical =
-      LowerForRuns(*ctx_, translation->plan, functions_, text, 0, profile);
+  LoweredPlan physical = LowerForRuns(*ctx_, translation->plan, functions_,
+                                      text, params.size(), profile);
   if (!physical.ok()) {
     // A stage-boundary verification failure means the lowered plan is
     // structurally wrong: fail the compile rather than hand out the query.
@@ -553,143 +537,14 @@ StatusOr<ParameterizedQuery> Compiler::CompileParameterized(
     std::string_view text, const std::vector<std::string>& params,
     const TranslateOptions& options) {
   obs::Span span("compile.parameterized");
-  uint64_t start_ns = obs::NowNs();
-  obs::CompilePhase profile;
-  profile.name = "compile";
-  CompileMetrics::Get().queries.Add();
-  auto fail = [&](const Status& status) -> StatusOr<ParameterizedQuery> {
-    CompileMetrics::Get().errors.Add();
-    profile.wall_ns = obs::NowNs() - start_ns;
-    LogCompile(std::string(text), status, profile, nullptr, nullptr);
-    return status;
-  };
-
-  StatusOr<Query> parsed = [&] {
-    obs::PhaseTimer timer(&profile, "parse", "compile.parse");
-    return ParseQuery(*ctx_, text);
-  }();
-  if (!parsed.ok()) return fail(parsed.status());
-  Query q = std::move(parsed).value();
-  {
-    obs::PhaseTimer timer(&profile, "expand_views", "compile.expand_views");
-    auto expanded_body = ExpandViews(*ctx_, q.body, views_);
-    if (!expanded_body.ok()) return fail(expanded_body.status());
-    q.body = *expanded_body;
-  }
-
   std::vector<Symbol> param_syms;
   for (const std::string& p : params) {
     param_syms.push_back(ctx_->symbols().Intern(p));
   }
-  SymbolSet param_set(param_syms);
-  if (param_set.size() != param_syms.size()) {
-    return fail(InvalidArgumentError("duplicate parameter name"));
-  }
-  // The bare-formula query form puts every free variable in the head;
-  // parameters are outputs of neither form.
-  q.head.erase(std::remove_if(q.head.begin(), q.head.end(),
-                              [&](Symbol v) { return param_set.Contains(v); }),
-               q.head.end());
-
-  if (Status s = CheckWellFormed(q.body, ctx_->symbols()); !s.ok()) {
-    return fail(s);
-  }
-  SymbolSet expected = SymbolSet(q.head).Union(param_set);
-  if (FreeVars(q.body) != expected) {
-    return fail(InvalidArgumentError(
-        "body's free variables must be exactly head + parameters"));
-  }
-  for (Symbol h : q.head) {
-    if (param_set.Contains(h)) {
-      return fail(InvalidArgumentError("head variable is also a parameter"));
-    }
-  }
-
-  // Safety relative to the parameter context ("em-allowed for X").
-  BoundOptions bound = EffectiveBound(options);
-  int find_count = 0;
-  size_t bd_computations = 0;
-  {
-    obs::PhaseTimer timer(&profile, "safety", "compile.safety");
-    EmAllowedChecker checker(*ctx_, bound);
-    SafetyResult safety = checker.CheckFormula(q.body, param_set);
-    bd_computations = checker.bound().computations();
-    if (safety.em_allowed) {
-      find_count = static_cast<int>(checker.bound().Bound(q.body).size());
-    }
-    timer.SetDetail(
-        (safety.em_allowed ? std::string("em-allowed") :
-                             std::string("rejected")) +
-        " bd_computations=" + std::to_string(bd_computations) +
-        " finds=" + std::to_string(find_count));
-    if (!safety.em_allowed) {
-      return fail(NotSafeError(
-          "query is not em-allowed for its parameters: " + safety.reason));
-    }
-  }
-
-  const Formula* enf = nullptr;
-  {
-    obs::PhaseTimer timer(&profile, "enf", "compile.enf");
-    EnfOptions enf_options;
-    enf_options.enable_t10 = options.enable_t10;
-    enf_options.bound = bound;
-    enf = ToEnf(*ctx_, q.body, enf_options);
-    timer.SetDetail("size=" + std::to_string(FormulaSize(enf)));
-  }
-  const Formula* ranf = nullptr;
-  {
-    obs::PhaseTimer timer(&profile, "ranf", "compile.ranf");
-    auto ranf_or = ToRanf(*ctx_, enf, param_set, bound.invertible_fns);
-    if (!ranf_or.ok()) return fail(ranf_or.status());
-    ranf = *ranf_or;
-    timer.SetDetail("size=" + std::to_string(FormulaSize(ranf)));
-  }
-
-  // Each parameter becomes the closed term $i. Like an argument constant
-  // it turns "RANF for params" into "RANF for {}", so the plan has the
-  // shape PlanFor's grounded plan has, with parameter slots where the
-  // argument constants would be; it is translated and lowered once here
-  // and every run binds its arguments into it.
-  Translation logged;
-  {
-    obs::PhaseTimer timer(&profile, "algebra_gen", "compile.algebra_gen");
-    Substitution slots;
-    for (size_t i = 0; i < param_syms.size(); ++i) {
-      slots.emplace(param_syms[i],
-                    ctx_->MakeParam(static_cast<uint32_t>(i)));
-    }
-    AlgebraGenerator generator(*ctx_, options.inverse_fns);
-    auto raw = generator.Translate(SubstituteFormula(*ctx_, ranf, slots),
-                                   q.head);
-    if (!raw.ok()) return fail(raw.status());
-    logged.raw_plan = *raw;
-    timer.SetDetail("nodes=" + std::to_string(logged.raw_plan->NodeCount()));
-  }
-  {
-    obs::PhaseTimer timer(&profile, "optimize", "compile.optimize");
-    AlgebraFactory factory(*ctx_);
-    logged.plan = OptimizePlan(factory, logged.raw_plan);
-    timer.SetDetail("nodes " + std::to_string(logged.raw_plan->NodeCount()) +
-                    "->" + std::to_string(logged.plan->NodeCount()));
-  }
-  logged.safety.em_allowed = true;
-  logged.find_count = static_cast<size_t>(find_count);
-  logged.ranf = ranf;
-  const std::string source(text);
-  LoweredPlan physical = LowerForRuns(*ctx_, logged.plan, functions_, source,
-                                      param_syms.size(), profile);
-  if (!physical.ok() &&
-      !verify::DiagnosticsFromStatus(physical.status()).empty()) {
-    return fail(physical.status());
-  }
-
-  profile.wall_ns = obs::NowNs() - start_ns;
-  CompileMetrics::Get().wall_ns.Observe(static_cast<double>(profile.wall_ns));
-  LogCompile(source, Status::Ok(), profile, &logged, &q);
-  return ParameterizedQuery(this, std::move(q), source, std::move(param_syms),
-                            ranf, options.inverse_fns, logged.plan,
-                            std::move(physical));
+  StatusOr<CompiledQuery> compiled = CompileText(text, param_syms, options);
+  if (!compiled.ok()) return compiled.status();
+  return ParameterizedQuery(std::move(compiled).value(), std::move(param_syms),
+                            options.inverse_fns);
 }
 
 StatusOr<const AlgExpr*> ParameterizedQuery::PlanFor(
@@ -700,34 +555,33 @@ StatusOr<const AlgExpr*> ParameterizedQuery::PlanFor(
         "expected " + std::to_string(params_.size()) + " arguments, got " +
         std::to_string(args.size()));
   }
-  AstContext& ctx = owner_->ctx();
+  AstContext& ctx = compiled_.owner_->ctx();
   Substitution sub;
   for (size_t i = 0; i < params_.size(); ++i) {
     sub.emplace(params_[i], ctx.MakeConst(args[i]));
   }
   // Constant substitution turns "RANF for params" into "RANF for {}".
-  const Formula* grounded = SubstituteFormula(ctx, ranf_, sub);
+  const Formula* grounded =
+      SubstituteFormula(ctx, compiled_.translation().ranf, sub);
   AlgebraGenerator generator(ctx, inverses_);
-  auto plan = generator.Translate(grounded, query_.head);
+  auto plan = generator.Translate(grounded, query().head);
   if (!plan.ok()) return plan.status();
   AlgebraFactory factory(ctx);
   return OptimizePlan(factory, *plan);
 }
 
-std::string ParameterizedQuery::PlanString() const {
-  return AlgExprToString(owner_->ctx(), plan_);
-}
-
 StatusOr<Relation> ParameterizedQuery::Run(const Database& db,
                                            const std::vector<Value>& args,
                                            AlgebraEvalStats* stats) const {
-  return RunObserved(text_, physical_, args, db, stats, nullptr);
+  return RunObserved(compiled_.text_, compiled_.physical_, args, db, stats,
+                     nullptr);
 }
 
 StatusOr<Relation> ParameterizedQuery::RunWithProfile(
     const Database& db, const std::vector<Value>& args,
     ExecProfile* profile) const {
-  return RunObserved(text_, physical_, args, db, nullptr, profile);
+  return RunObserved(compiled_.text_, compiled_.physical_, args, db, nullptr,
+                     profile);
 }
 
 StatusOr<std::string> ParameterizedQuery::ExplainAnalyze(

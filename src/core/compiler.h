@@ -9,8 +9,11 @@
 //
 // One Compiler owns one AstContext; every CompiledQuery and
 // ParameterizedQuery it produces remains valid for the compiler's lifetime.
-// Both kinds are translated and lowered to a physical plan once, at
-// compile time; a run only executes that plan.
+// Both kinds go through one pipeline — parse, stage-1 verification, view
+// expansion, TranslateQuery (rectify, safety, ENF, RANF, algebra
+// generation, optimization) and lowering — once, at compile time; a
+// closed query is the case of an empty parameter context. A run only
+// executes the lowered plan.
 //
 // Thread safety:
 //   - Compiler (Compile, CompileQuery, CompileParameterized, DefineView,
@@ -77,7 +80,9 @@ struct QueryAnalysis {
   std::string ToJson() const;
 };
 
-// A safety-checked, translated query ready to execute.
+// A safety-checked, translated query ready to execute. It is also the
+// compiled form a ParameterizedQuery wraps: then its plan holds parameter
+// slots and translation().ranf is RANF for the parameter context.
 class CompiledQuery {
  public:
   const Query& query() const { return query_; }
@@ -116,14 +121,15 @@ class CompiledQuery {
 
  private:
   friend class Compiler;
-  CompiledQuery(const Compiler* owner, Query query, Translation translation,
+  friend class ParameterizedQuery;
+  CompiledQuery(Compiler* owner, Query query, Translation translation,
                 obs::CompilePhase profile, std::string text,
                 LoweredPlan physical)
       : owner_(owner), query_(std::move(query)),
         translation_(std::move(translation)), profile_(std::move(profile)),
         text_(std::move(text)), physical_(std::move(physical)) {}
 
-  const Compiler* owner_;
+  Compiler* owner_;  // non-const for ParameterizedQuery::PlanFor
   Query query_;
   Translation translation_;
   obs::CompilePhase profile_;
@@ -140,20 +146,23 @@ class CompiledQuery {
 //       "{e | EMP(e, d, s) and with_raise(s) <= cap}", {"d", "cap"});
 //   auto answer = q->Run(db, {Value::Int(3), Value::Int(90000)});
 //
-// CompileParameterized substitutes each parameter with a parameter term
-// $i (like a constant, it preserves RANF relative to the empty context),
-// then generates, optimizes and lowers one plan whose parameter slots
-// stand where the argument constants would be — the placeholder design:
-// values are bound at execution, never spliced into the plan. Each Run
-// binds its arguments into that cached physical plan, so calls allocate
+// CompileParameterized runs the one compile pipeline with the parameters
+// as TranslateQuery's context: safety and RANF are relative to them, and
+// each parameter then becomes a parameter term $i (like a constant, it
+// preserves RANF relative to the empty context), so the one plan generated,
+// optimized and lowered has parameter slots where the argument constants
+// would be — the placeholder design: values are bound at execution, never
+// spliced into the plan. The result wraps that CompiledQuery. Each Run
+// binds its arguments into the cached physical plan, so calls allocate
 // nothing in the compiler's arena and may run concurrently (see the
 // thread-safety notes at the top of this file).
 class ParameterizedQuery {
  public:
   const std::vector<Symbol>& parameters() const { return params_; }
-  const Query& query() const { return query_; }
+  // head = output variables; the body's free variables are head + params.
+  const Query& query() const { return compiled_.query(); }
   // The cached plan, with parameter slots $1..$n for parameters().
-  std::string PlanString() const;
+  std::string PlanString() const { return compiled_.PlanString(); }
 
   // Executes with `args` bound to parameters() position-wise.
   StatusOr<Relation> Run(const Database& db, const std::vector<Value>& args,
@@ -180,25 +189,18 @@ class ParameterizedQuery {
 
  private:
   friend class Compiler;
-  ParameterizedQuery(Compiler* owner, Query query, std::string text,
-                     std::vector<Symbol> params, const Formula* ranf,
-                     std::map<Symbol, Symbol> inverses, const AlgExpr* plan,
-                     LoweredPlan physical)
-      : owner_(owner), query_(std::move(query)), text_(std::move(text)),
-        params_(std::move(params)), ranf_(ranf),
-        inverses_(std::move(inverses)), plan_(plan),
-        physical_(std::move(physical)) {}
+  ParameterizedQuery(CompiledQuery compiled, std::vector<Symbol> params,
+                     std::map<Symbol, Symbol> inverses)
+      : compiled_(std::move(compiled)), params_(std::move(params)),
+        inverses_(std::move(inverses)) {}
 
-  Compiler* owner_;
-  Query query_;  // head = output variables; body free vars = head + params
-  // Source text as compiled: its hash keys the compile record, every run
-  // record, the history store and flight-recorder events alike.
-  std::string text_;
+  // The compile pipeline's output: source text (its hash keys the compile
+  // record, every run record, the history store and flight-recorder
+  // events alike), the plan with parameter slots, its lowered form and the
+  // RANF for the context `params_` (PlanFor).
+  CompiledQuery compiled_;
   std::vector<Symbol> params_;
-  const Formula* ranf_;  // RANF for the context `params_` (PlanFor)
   std::map<Symbol, Symbol> inverses_;  // declared function inverses
-  const AlgExpr* plan_;  // optimized, with parameter slots
-  LoweredPlan physical_;
 };
 
 // Parses, safety-checks, and translates queries. Not copyable or movable:
@@ -228,8 +230,9 @@ class Compiler {
   StatusOr<CompiledQuery> CompileQuery(const Query& q,
                                        const TranslateOptions& options = {});
 
-  // Compiles a parameterized query: the body's free variables must be
-  // exactly the head variables plus `params`, and the body must be
+  // Compiles a parameterized query through the same pipeline as Compile:
+  // the body's free variables must be exactly the head variables plus
+  // `params` (a bare formula's head drops them), and the body must be
   // em-allowed *for* the parameter set.
   StatusOr<ParameterizedQuery> CompileParameterized(
       std::string_view text, const std::vector<std::string>& params,
@@ -248,14 +251,25 @@ class Compiler {
   const FunctionRegistry& functions() const { return functions_; }
 
  private:
-  // Shared tail of Compile/CompileQuery: view expansion, translation,
-  // lowering, profile assembly, metrics, and query-log emission. `profile`
-  // carries phases already timed by the caller (parse); `start_ns` is when
-  // the whole compilation began; `text` is the raw query text when known.
+  // Front end of Compile/CompileParameterized: parses `text` (logging a
+  // parse failure), drops `params` from the head and hands the query to
+  // CompileImpl.
+  StatusOr<CompiledQuery> CompileText(std::string_view text,
+                                      const std::vector<Symbol>& params,
+                                      const TranslateOptions& options);
+
+  // Shared tail of every compile: stage-1 verification (spans required
+  // when `parsed`), lint and safety blame for the log, view expansion,
+  // TranslateQuery relative to `params`, lowering with `params.size()`
+  // slots, metrics, and query-log emission. `profile` carries phases
+  // already timed by the caller (parse); `start_ns` is when the whole
+  // compilation began; `text` is the query's source text.
   StatusOr<CompiledQuery> CompileImpl(const Query& q,
+                                      const std::vector<Symbol>& params,
                                       const TranslateOptions& options,
                                       obs::CompilePhase profile,
-                                      uint64_t start_ns, std::string text);
+                                      uint64_t start_ns, std::string text,
+                                      bool parsed);
 
   std::unique_ptr<AstContext> ctx_;
   FunctionRegistry functions_;

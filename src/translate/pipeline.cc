@@ -12,12 +12,22 @@
 
 namespace emcalc {
 
+BoundOptions EffectiveBound(const TranslateOptions& options) {
+  BoundOptions bound = options.bound;
+  for (const auto& [fn, inv] : options.inverse_fns) {
+    bound.invertible_fns.Insert(fn);
+  }
+  return bound;
+}
+
 StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
-                                     const TranslateOptions& options) {
+                                     const TranslateOptions& options,
+                                     const std::vector<Symbol>& params) {
   obs::Span span("compile.translate");
   uint64_t start_ns = obs::NowNs();
   Translation out;
   out.profile.name = "translate";
+  const SymbolSet context(params);
 
   // Shadowed quantifiers are legal calculus; rename them apart so the
   // remaining passes (and the well-formedness check) can assume distinct
@@ -26,20 +36,18 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
   {
     obs::PhaseTimer timer(&out.profile, "rectify", "compile.rectify");
     query.body = Rectify(ctx, q.body);
-    if (Status s = CheckWellFormed(query, ctx.symbols()); !s.ok()) return s;
+    if (Status s = CheckWellFormed(query, ctx.symbols(), params); !s.ok()) {
+      return s;
+    }
   }
 
-  // Effective bd options: fold declared inverses into the FinD analysis.
-  BoundOptions bound = options.bound;
-  for (const auto& [fn, inv] : options.inverse_fns) {
-    bound.invertible_fns.Insert(fn);
-  }
+  const BoundOptions bound = EffectiveBound(options);
 
   {
     obs::PhaseTimer timer(&out.profile, "safety", "compile.safety");
     if (options.check_safety) {
       EmAllowedChecker checker(ctx, bound);
-      out.safety = checker.Check(query);
+      out.safety = checker.CheckFormula(query.body, context);
       out.bd_computations = checker.bound().computations();
       if (out.safety.em_allowed) {
         out.find_count = checker.bound().Bound(query.body).size();
@@ -50,7 +58,11 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
           " bd_computations=" + std::to_string(out.bd_computations) +
           " finds=" + std::to_string(out.find_count));
       if (!out.safety.em_allowed) {
-        return NotSafeError("query is not em-allowed: " + out.safety.reason);
+        return NotSafeError((params.empty()
+                                 ? "query is not em-allowed: "
+                                 : "query is not em-allowed for its "
+                                   "parameters: ") +
+                            out.safety.reason);
       }
     } else {
       out.safety = SafetyResult::Accept();
@@ -84,27 +96,40 @@ StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
 
   {
     obs::PhaseTimer timer(&out.profile, "ranf", "compile.ranf");
-    auto ranf = ToRanf(ctx, pre_ranf, SymbolSet{}, bound.invertible_fns);
+    auto ranf = ToRanf(ctx, pre_ranf, context, bound.invertible_fns);
     if (!ranf.ok()) return ranf.status();
     out.ranf = *ranf;
     timer.SetDetail("size=" + std::to_string(FormulaSize(out.ranf)));
   }
 
+  // Each parameter becomes the closed term $i. Like an argument constant
+  // it turns "RANF for params" into "RANF for {}", so the plan has the
+  // shape a grounded plan has, with parameter slots where the argument
+  // constants would be.
+  const Formula* generated = out.ranf;
   {
     obs::PhaseTimer timer(&out.profile, "algebra_gen", "compile.algebra_gen");
+    if (!params.empty()) {
+      Substitution slots;
+      for (size_t i = 0; i < params.size(); ++i) {
+        slots.emplace(params[i], ctx.MakeParam(static_cast<uint32_t>(i)));
+      }
+      generated = SubstituteFormula(ctx, out.ranf, slots);
+    }
     AlgebraGenerator generator(ctx, options.inverse_fns);
-    auto plan = generator.Translate(out.ranf, query.head);
+    auto plan = generator.Translate(generated, query.head);
     if (!plan.ok()) return plan.status();
     out.raw_plan = *plan;
     timer.SetDetail("nodes=" + std::to_string(out.raw_plan->NodeCount()));
   }
 
-  // Stage boundary 3: the RANF formula and the raw translated plan.
+  // Stage boundary 3: the RANF formula the generator translated and the
+  // raw plan.
   if (verify::Enabled()) {
     verify::AlgebraOptions opts;
     opts.expected_arity = static_cast<int>(query.head.size());
     verify::VerifyReport vr =
-        verify::VerifyRanfAlgebra(ctx, out.ranf, SymbolSet{},
+        verify::VerifyRanfAlgebra(ctx, generated, SymbolSet{},
                                   bound.invertible_fns, out.raw_plan, opts);
     if (!vr.ok()) return vr.ToStatus();
   }

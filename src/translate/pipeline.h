@@ -9,10 +9,15 @@
 // Safety is checked first: only em-allowed queries are translated, and the
 // pipeline is total on them — an em-allowed query that fails to translate
 // is a bug (kInternal), which the test suite treats as such.
+//
+// The pipeline works relative to a context X of host-program parameters
+// (the paper's "em-allowed for X", Section 9). A closed query is the case
+// X = {}; Compiler::CompileParameterized passes its parameters.
 #ifndef EMCALC_TRANSLATE_PIPELINE_H_
 #define EMCALC_TRANSLATE_PIPELINE_H_
 
 #include <map>
+#include <vector>
 
 #include "src/algebra/ast.h"
 #include "src/base/status.h"
@@ -45,11 +50,17 @@ struct TranslateOptions {
   bool check_safety = true;
 };
 
+// The FinD options the pipeline runs with: `options.bound` with every
+// declared inverse's function folded into the invertible set.
+BoundOptions EffectiveBound(const TranslateOptions& options);
+
 // All artifacts of one translation, for inspection and experiments.
 struct Translation {
   SafetyResult safety;
   const Formula* enf = nullptr;   // after steps (1)–(2)
-  const Formula* ranf = nullptr;  // after step (3)
+  // After step (3): RANF relative to the parameter context, with the
+  // parameters still free (ParameterizedQuery::PlanFor grounds it).
+  const Formula* ranf = nullptr;
   const AlgExpr* raw_plan = nullptr;  // after step (4)
   const AlgExpr* plan = nullptr;      // after simplification
   // Per-phase wall times of this translation (the "translate" subtree of
@@ -61,11 +72,16 @@ struct Translation {
   size_t find_count = 0;
 };
 
-// Translates an em-allowed query into an equivalent extended-algebra plan.
-// Errors: kNotSafe (em-allowed check or RANF ordering failed),
-// kInvalidArgument (ill-formed query), kInternal (pipeline bug).
+// Translates a query that is em-allowed for the context `params` into an
+// equivalent extended-algebra plan. The body's free variables must be
+// exactly the head plus `params` (CheckWellFormed). The i-th parameter
+// becomes the parameter term $i+1 before algebra generation, so the plan
+// reads it from parameter slot i. Errors: kNotSafe (em-allowed check or
+// RANF ordering failed), kInvalidArgument (ill-formed query), kInternal
+// (pipeline bug).
 StatusOr<Translation> TranslateQuery(AstContext& ctx, const Query& q,
-                                     const TranslateOptions& options = {});
+                                     const TranslateOptions& options = {},
+                                     const std::vector<Symbol>& params = {});
 
 }  // namespace emcalc
 

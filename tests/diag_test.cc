@@ -595,6 +595,30 @@ TEST_F(QueryLogLintTest, NoDiagnosticsWithoutOptIn) {
   EXPECT_TRUE(records[0].diagnostics.empty());
 }
 
+TEST_F(QueryLogLintTest, ParameterizedCompileRecordsCarryDiagnostics) {
+  Compiler compiler;
+  EXPECT_FALSE(compiler.CompileParameterized("{x | R(x, d", {"d"}).ok());
+  EXPECT_TRUE(
+      compiler.CompileParameterized("{x, y | R(x, d) and S(y)}", {"d"}).ok());
+  EXPECT_FALSE(compiler.CompileParameterized("{x | not R(x, d)}", {"d"}).ok());
+  auto records = Records();
+  ASSERT_EQ(records.size(), 3u);
+  // Unparsable: the located parse error.
+  ASSERT_EQ(records[0].diagnostics.size(), 1u);
+  EXPECT_EQ(records[0].diagnostics[0].code, "parse.error");
+  // Accepted: the lint finding.
+  EXPECT_TRUE(records[1].ok);
+  ASSERT_EQ(records[1].diagnostics.size(), 1u);
+  EXPECT_EQ(records[1].diagnostics[0].code, "lint.cross-product");
+  // Not em-allowed for {d}: the safety blame, located in the source.
+  EXPECT_FALSE(records[2].em_allowed);
+  ASSERT_FALSE(records[2].diagnostics.empty());
+  const Diagnostic& blame = records[2].diagnostics[0];
+  EXPECT_EQ(blame.code, "safety.unbounded-free");
+  ASSERT_TRUE(blame.span.has_value());
+  EXPECT_EQ(blame.span->begin, 5u);
+}
+
 // --- property: rejections blame genuinely unbounded variables ---
 
 class DiagPropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,8 @@
 #include "src/calculus/rewrite.h"
 #include "src/core/compiler.h"
 #include "src/core/workload.h"
+#include "src/obs/inspect.h"
+#include "src/obs/query_log.h"
 
 namespace emcalc {
 namespace {
@@ -51,12 +54,17 @@ struct Case {
 };
 
 // The paper's corpus (q1, q2, q4-q6; q3 has no text and q7 is not
-// em-allowed) and the two payroll texts of the host-path benchmark, in
-// bare-formula form so that every free variable can be a parameter.
+// em-allowed), a rewrite of q2 whose inner quantifier rebinds the free
+// variable x (shadowing is legal calculus: the compile renames it apart),
+// and the two payroll texts of the host-path benchmark, in bare-formula
+// form so that every free variable can be a parameter.
 std::vector<Case> Cases() {
   return {
       {"exists x (R(x) and y = g(f(x)))", {{"R", 1}}, {}},
       {"R(x) and exists y (f(x) = y and not R(y))", {{"R", 1}}, {}},
+      {"R(x) and exists y (f(x) = y and not exists x (R(x) and x = y))",
+       {{"R", 1}},
+       {}},
       {"B(x) and not (((f(x) != y and g(x) != y) or R(x, y)) and "
        "((h(x) != y and k(x) != y) or P(x, y)))",
        {{"B", 1}, {"R", 2}, {"P", 2}},
@@ -197,10 +205,10 @@ TEST(ParameterizedDifferentialTest, RunMatchesSubstitutionPath) {
     for (std::thread& th : threads) th.join();
     EXPECT_EQ(mismatches.load(), 0) << c.text;
   }
-  // q1 {y}, q2 {x}, q4 and q5 {x} {y}, q6 {x} {y} {z} {y,z}, the payroll
-  // join {cap} {d,cap} and DEPT {d} {b}; the other payroll-join
-  // singletons leave cap unbounded.
-  EXPECT_EQ(parameterizations, 14);
+  // q1 {y}, q2 and its shadowing rewrite {x}, q4 and q5 {x} {y}, q6 {x}
+  // {y} {z} {y,z}, the payroll join {cap} {d,cap} and DEPT {d} {b}; the
+  // other payroll-join singletons leave cap unbounded.
+  EXPECT_EQ(parameterizations, 15);
 }
 
 // AddressSanitizer keeps freed blocks in a quarantine of up to 256 MB
@@ -280,6 +288,60 @@ TEST(ParameterizedPlanTest, CachedPlanHoldsParameterSlots) {
   ASSERT_FALSE(failed.ok());
   EXPECT_NE(failed.status().message().find("nosuchfn"), std::string::npos)
       << failed.status().ToString();
+}
+
+// A parameterized compile honours its TranslateOptions: without
+// `optimize` its compile record has no optimize phase, with
+// `distribute_disjunctions` it has a distribute phase, and either way the
+// answers equal the substitution path's.
+TEST(ParameterizedPlanTest, TranslateOptionsApply) {
+  TranslateOptions unoptimized;
+  unoptimized.optimize = false;
+  TranslateOptions distributed;
+  distributed.distribute_disjunctions = true;
+  const FunctionRegistry functions = CorpusFunctions();
+  Compiler compiler(functions);
+  std::ostringstream sink;
+  obs::QueryLog log(&sink);
+  std::vector<ParameterizedQuery> queries;
+  obs::SetQueryLog(&log);
+  for (const TranslateOptions& options : {unoptimized, distributed}) {
+    auto q = compiler.CompileParameterized(
+        "(R(x) and f(x) = y) or (S(y) and g(y) = x)", {"x"}, options);
+    if (q.ok()) {
+      queries.push_back(std::move(q).value());
+    } else {
+      ADD_FAILURE() << q.status().ToString();
+    }
+  }
+  obs::SetQueryLog(nullptr);
+  ASSERT_EQ(queries.size(), 2u);
+
+  const obs::QueryLogScan scan = obs::ParseQueryLogText(sink.str());
+  ASSERT_EQ(scan.compiles.size(), 2u) << sink.str();
+  // A phase is named by the last component of its path ("translate.ranf").
+  auto has_phase = [](const obs::QueryLogRecord& r, const std::string& name) {
+    for (const auto& [path, ns] : r.phase_ns) {
+      if (path == name || path.ends_with("." + name)) return true;
+    }
+    return false;
+  };
+  EXPECT_FALSE(has_phase(scan.compiles[0], "optimize")) << sink.str();
+  EXPECT_TRUE(has_phase(scan.compiles[1], "distribute")) << sink.str();
+
+  const Database db = RandomDatabase({{"R", 1}, {"S", 1}}, 30, 7, 11);
+  for (const ParameterizedQuery& q : queries) {
+    for (int64_t x = 0; x < 7; ++x) {
+      auto plan = q.PlanFor({Value::Int(x)});
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      auto expected =
+          EvaluateAlgebraLegacy(compiler.ctx(), *plan, db, functions);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      auto answer = q.Run(db, {Value::Int(x)});
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_EQ(*answer, *expected) << "x = " << x;
+    }
+  }
 }
 
 }  // namespace
